@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .combinatorics import CombinatorialData, singular_structure
+from .combinatorics import TOP, CombinatorialData, singular_structure
 from .errors import WindowMissing
 from .induction import InductionState, Trajectory, visit_words
 from .numerics import certified_sign, to_float
@@ -370,51 +370,53 @@ def dual_holder_profile(
     dual sum is evaluated on a uniform grid with the copy offsets handled
     as vectorized float arrays (the count grows like the window norm, so
     exact arithmetic would be pointless here and floats are honest).
-    """
-    import numpy as _np
 
+    Only the word of ``alpha_star`` is grown, as one numpy array of letter
+    codes (the canonical letter index, the same at every level): each
+    backward arrow doubles its loser with ``np.repeat`` and writes the
+    replacement pair into the two copies.
+    """
     st0 = traj.state(0)
-    letters = st0.pi.letters
-    a_idx = st0.pi.index(alpha_star)
+    d = st0.d
     out = []
-    words = {a: [a] for a in letters}
+    word = np.array([st0.pi.index(alpha_star)], dtype=np.int8)  # d < 128 letters
     level_set = sorted(set(int(n) for n in levels), reverse=True)
     k = 0
-    from .combinatorics import TOP as _TOP
-
     for n in level_set:
         while k > n:
-            a = traj.arrow_at(k)
-            repl = [a.loser, a.winner] if a.kind == _TOP else [a.winner, a.loser]
-            for alpha in letters:
-                grown: List[str] = []
-                for b in words[alpha]:
-                    grown.extend(repl if b == a.loser else [b])
-                words[alpha] = grown
+            word = _substitute(word, traj.arrow_at(k))
             k -= 1
         st_n = traj.state(n)
-        qf = _np.array([to_float(x) for x in st_n.heights()], dtype=float)
-        word = words[alpha_star]
-        idx = _np.array([st_n.pi.index(b) for b in word], dtype=int)
-        steps = qf[idx]
-        starts = _np.concatenate([[0.0], _np.cumsum(steps)[:-1]])
+        qf = np.array([to_float(x) for x in st_n.heights()], dtype=float)
+        steps = qf[word]
+        starts = np.concatenate([[0.0], np.cumsum(steps)[:-1]])
         sup = 0.0
-        for beta in letters:
-            b_idx = st_n.pi.index(beta)
-            sel = starts[idx == b_idx]
+        for b_idx in range(d):
+            sel = starts[word == b_idx]
             if sel.size == 0:
                 continue
-            xs = _np.linspace(0.0, qf[b_idx], grid, endpoint=False) + qf[b_idx] / (2 * grid)
+            xs = np.linspace(0.0, qf[b_idx], grid, endpoint=False) + qf[b_idx] / (2 * grid)
             for x in xs:
                 pts = sel + x
                 val = 0.0
                 for m, c, p in psi.modes:
                     w = 2 * math.pi * m / psi.length
-                    val += c * float(_np.sum(_np.cos(w * pts + p)))
+                    val += c * float(np.sum(np.cos(w * pts + p)))
                 sup = max(sup, abs(val))
         norm = traj.norm(n, 0)
         out.append({"n": n, "sup": sup, "log_norm": math.log(norm)})
     return out
+
+
+def _substitute(word: np.ndarray, a) -> np.ndarray:
+    """One backward substitution step on an int-coded word: the loser
+    becomes (loser, winner) for a top arrow, (winner, loser) for a bottom one."""
+    loser = a.source.index(a.loser)
+    hit = word == loser
+    grown = np.repeat(word, 1 + hit)
+    first = np.flatnonzero(hit) + np.arange(np.count_nonzero(hit))
+    grown[first + 1 if a.kind == TOP else first] = a.source.index(a.winner)
+    return grown
 
 
 def sample_gamma_vector(vec: PiecewiseConstantVector, state: InductionState, count: int = 2) -> SampledPiecewiseFunction:

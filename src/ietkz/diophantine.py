@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ from .induction import (
     accelerated_times,
 )
 from .limitshape import SplittingEstimate, _float_matrix, _orth_columns, splitting_estimate
-from .numerics import certified_sign, exact_log, scalar_abs, sum_norm, to_float
+from .numerics import Ball, Quadratic, certified_sign, exact_log, scalar_abs, sum_norm, to_float
 
 KIND_A = "A"
 KIND_A_PRIME = "APrime"
@@ -41,7 +42,110 @@ def restricted_operator_norm(M: np.ndarray, w: Sequence):
     on the cross-polytope edges: one exact vertex per coordinate pair (and
     per zero-weight axis), so the supremum of |M x|_1 is a finite exact
     maximum.  The image norm is the ambient norm, no dual basis enters.
+
+    For an integer matrix and exact weights (int, Fraction, Quadratic over
+    one field) the maximum is found in integer arithmetic: the weights are
+    written w_k = (A_k + B_k sqrt(D)) / L over one common denominator, the
+    image of the (i, j) vertex is (w_j M[:, i] - w_i M[:, j]) / (|w_i| + |w_j|),
+    a two-column combination with O(d) integer operations, and candidates
+    are compared by the sign of a cross product in Z[sqrt(D)].  Only the
+    winner becomes a scalar, of the type the vertex arithmetic yields:
+    Quadratic when a Quadratic weight enters it, else Fraction (int for a
+    zero-weight axis of int weights).  Ball weights take the scalar loop;
+    where two ball candidates overlap, the hull [max lo, max hi] encloses
+    their maximum.
     """
+    cols = np.asarray(M).T.tolist()
+    parts = _integer_weights(w)
+    if parts is None or not all(type(x) is int for col in cols for x in col):
+        return _restricted_norm_scalar(M, w)
+    A, B, D = parts
+    d = len(w)
+    signs = [_zsign(a, b, D) for a, b in zip(A, B)]
+    best = None  # (Na, Nb, Sa, Sb, vertex): the norm is (Na + Nb sqrt D) / (Sa + Sb sqrt D)
+    for i in range(d):
+        if signs[i] == 0:
+            cand = (sum(abs(x) for x in cols[i]), 0, 1, 0, (i,))
+            if best is None or _zcross_sign(cand, best, D) > 0:
+                best = cand
+    for i in range(d):
+        for j in range(i + 1, d):
+            if signs[i] == 0 or signs[j] == 0:
+                continue
+            Ai, Bi, Aj, Bj = A[i], B[i], A[j], B[j]
+            Na = Nb = 0
+            for x, y in zip(cols[i], cols[j]):
+                a = Aj * x - Ai * y
+                b = Bj * x - Bi * y
+                s = _zsign(a, b, D)
+                if s > 0:
+                    Na += a
+                    Nb += b
+                elif s < 0:
+                    Na -= a
+                    Nb -= b
+            si, sj = signs[i], signs[j]
+            cand = (Na, Nb, si * Ai + sj * Aj, si * Bi + sj * Bj, (i, j))
+            if best is None or _zcross_sign(cand, best, D) > 0:
+                best = cand
+    if best is None:  # d = 1: the hyperplane is {0}
+        return None
+    Na, Nb, Sa, Sb, vertex = best
+    # the typed zero w[0] - w[0] fills every vertex; a pair adds w[i], w[j]
+    involved = [w[0]] + ([w[k] for k in vertex] if len(vertex) == 2 else [])
+    if any(isinstance(x, Quadratic) for x in involved):
+        den = Sa * Sa - Sb * Sb * D
+        return Quadratic(Fraction(Na * Sa - Nb * Sb * D, den), Fraction(Nb * Sa - Na * Sb, den), D)
+    if len(vertex) == 1 and type(w[0]) is int:
+        return Na
+    return Fraction(Na, Sa)
+
+
+def _integer_weights(w: Sequence):
+    """(A, B, D) with w_k = (A_k + B_k sqrt(D)) / L for one common L, or None
+    unless every weight is int, Fraction or Quadratic over a single field."""
+    D = 0
+    ab = []
+    for x in w:
+        if isinstance(x, Quadratic):
+            if D and x.D != D:
+                return None
+            D = x.D
+            ab.append((x.a, x.b))
+        elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+            ab.append((Fraction(x), Fraction(0)))
+        else:
+            return None
+    L = math.lcm(*(y.denominator for pair in ab for y in pair))
+    return (
+        [a.numerator * (L // a.denominator) for a, _ in ab],
+        [b.numerator * (L // b.denominator) for _, b in ab],
+        D,
+    )
+
+
+def _zsign(a: int, b: int, D: int) -> int:
+    """Sign of a + b sqrt(D) for integers a, b and square-free D > 1 (any D when b = 0)."""
+    sa = (a > 0) - (a < 0)
+    if b == 0:
+        return sa
+    sb = 1 if b > 0 else -1
+    if sa == 0 or sa == sb:
+        return sb
+    return sa if a * a > b * b * D else sb
+
+
+def _zcross_sign(p: tuple, q: tuple, D: int) -> int:
+    """Sign of Np/Sp - Nq/Sq for positive denominators: that of Np Sq - Nq Sp."""
+    pa, pb, psa, psb = p[:4]
+    qa, qb, qsa, qsb = q[:4]
+    a = pa * qsa + pb * qsb * D - qa * psa - qb * psb * D
+    b = pa * qsb + pb * qsa - qa * psb - qb * psa
+    return _zsign(a, b, D)
+
+
+def _restricted_norm_scalar(M: np.ndarray, w: Sequence):
+    """The vertex enumeration in the weights' own scalar arithmetic."""
     d = len(w)
     best = None
     vertices = []
@@ -65,7 +169,13 @@ def restricted_operator_norm(M: np.ndarray, w: Sequence):
         for x in img:
             a = scalar_abs(x)
             norm = a if norm is None else norm + a
-        if best is None or certified_sign(norm - best) > 0:
+        if best is None:
+            best = norm
+            continue
+        s = certified_sign(norm - best)
+        if s is None:  # overlapping balls: the hull encloses the maximum
+            best = Ball(max(best.lo, norm.lo), max(best.hi, norm.hi), best.bits)
+        elif s > 0:
             best = norm
     return best
 
@@ -247,8 +357,7 @@ def dual_roth_profiles(backtraj: Trajectory, tol: float = 0.2) -> RothProfile:
     prof.tail_ratio = _tail_max(ratios)
     q0 = backtraj.state(0).heights()
     first_block = times[1]
-    for n in range(-1, backtraj.n_min - 1, -1):
-        B = backtraj.matrix(n, 0)
+    for n, B in backtraj.backward_matrices():
         norm = int(sum_norm(B))
         if norm <= len(q0):
             continue
@@ -372,9 +481,10 @@ def length_diagnostics(
         rep = LengthReport("forward", rows, partition_ok, series, p6_rows, violations)
         return rep
     if direction == "backward":
-        for m in range(0, traj.n_min - 1, -1):
+        aux = []
+        for m, B in traj.backward_matrices():
             q = traj.state(m).heights()
-            norm = traj.norm(m, 0)
+            norm = int(sum_norm(B))
             logn = exact_log(norm)
             lens = [to_float(x) for x in q]
             rows.append(
@@ -387,10 +497,6 @@ def length_diagnostics(
                     "c_upper": max(lens) * math.exp((1 - tau_tol) * logn),
                 }
             )
-        aux = []
-        for m in range(-1, traj.n_min - 1, -1):
-            B = traj.matrix(m, 0)
-            norm = int(sum_norm(B))
             if norm <= B.shape[0] * B.shape[0]:
                 continue
             worst = min(

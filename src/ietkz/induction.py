@@ -51,6 +51,23 @@ def _matvec(M: np.ndarray, v: Sequence) -> tuple:
     return tuple(out)
 
 
+def cocycle_step(M: np.ndarray, a: RauzyArrow, right: bool = False, inv: Optional[np.ndarray] = None) -> None:
+    """The elementary cocycle step of arrow ``a``, in place.
+
+    With E = I + E[loser, winner]: M <- E M (row[loser] += row[winner]), or
+    M <- M E (column[winner] += column[loser]) when ``right``.  ``inv``, the
+    inverse of a left product, is kept in step: inv <- inv E^-1.
+    """
+    li = a.source.index(a.loser)
+    wi = a.source.index(a.winner)
+    if right:
+        M[:, wi] = M[:, wi] + M[:, li]
+        return
+    M[li, :] = M[li, :] + M[wi, :]
+    if inv is not None:
+        inv[:, wi] = inv[:, wi] - inv[:, li]
+
+
 @dataclass(frozen=True)
 class InductionState:
     pi: CombinatorialData
@@ -63,12 +80,20 @@ class InductionState:
         return self.pi.d
 
     def heights(self) -> tuple:
-        """q = -Omega tau, the zippered-rectangle heights."""
-        if self.tau is None:
-            raise InvalidLengths("heights need suspension data")
-        om = omega_matrix(self.pi)
-        neg = np.array([[-x for x in row] for row in om], dtype=object)
-        return _matvec(neg, self.tau)
+        """q = -Omega tau, the zippered-rectangle heights.
+
+        Computed once per state and kept outside the dataclass fields, so
+        equality and hashing still see only (pi, lam, tau, level).
+        """
+        q = self.__dict__.get("_heights")
+        if q is None:
+            if self.tau is None:
+                raise InvalidLengths("heights need suspension data")
+            om = omega_matrix(self.pi)
+            neg = np.array([[-x for x in row] for row in om], dtype=object)
+            q = _matvec(neg, self.tau)
+            object.__setattr__(self, "_heights", q)
+        return q
 
     def total_length(self):
         total = self.lam[0]
@@ -250,9 +275,6 @@ class Trajectory:
         """The arrow from pi^(n-1) to pi^(n)."""
         return self.arrows[n]
 
-    def arrow_path(self, m: int, n: int) -> List[RauzyArrow]:
-        return [self.arrows[k] for k in range(m + 1, n + 1)]
-
     def levels(self) -> range:
         return range(self.n_min, self.n_max + 1)
 
@@ -269,12 +291,9 @@ class Trajectory:
         self._snapshots[self.n_min] = (C.copy(), Cinv.copy())
         for n in range(self.n_min + 1, self.n_max + 1):
             a = self.arrows[n]
-            li = a.source.index(a.loser)
-            wi = a.source.index(a.winner)
             C = C.copy()
-            C[li, :] = C[li, :] + C[wi, :]
             Cinv = Cinv.copy()
-            Cinv[:, wi] = Cinv[:, wi] - Cinv[:, li]
+            cocycle_step(C, a, inv=Cinv)
             is_boundary = n == self.n_max or (
                 n + 1 in self.arrows and self.arrows[n + 1].kind != a.kind
             )
@@ -291,11 +310,7 @@ class Trajectory:
         C = C.copy()
         Cinv = Cinv.copy()
         for k in range(z + 1, n + 1):
-            a = self.arrows[k]
-            li = a.source.index(a.loser)
-            wi = a.source.index(a.winner)
-            C[li, :] = C[li, :] + C[wi, :]
-            Cinv[:, wi] = Cinv[:, wi] - Cinv[:, li]
+            cocycle_step(C, self.arrows[k], inv=Cinv)
         return C, Cinv
 
     def matrix(self, m: int, n: int) -> np.ndarray:
@@ -308,6 +323,21 @@ class Trajectory:
 
     def norm(self, m: int, n: int) -> int:
         return int(sum_norm(self.matrix(m, n)))
+
+    def backward_matrices(self):
+        """Yields (n, B(n, 0)) for n = 0, -1, ..., n_min.
+
+        B(n - 1, 0) = B(n, 0) E_n, so each level costs one column update
+        instead of a matrix product.  Every yielded matrix is a fresh array.
+        """
+        if not (self.n_min <= 0 <= self.n_max):
+            raise InsufficientTrajectory(f"window [{self.n_min},{self.n_max}] misses level 0")
+        B = identity_matrix(self.states[0].d)
+        yield 0, B
+        for n in range(0, self.n_min, -1):
+            B = B.copy()
+            cocycle_step(B, self.arrows[n], right=True)
+            yield n - 1, B
 
     def export_stream(self) -> List[dict]:
         out = []
@@ -360,8 +390,8 @@ def _stop_reached(traj: Trajectory, stop, steps_done: int) -> bool:
     if isinstance(stop, Steps):
         return steps_done >= stop.n
     if isinstance(stop, ZorichSteps):
-        zs = [traj.zorich[n] for n in traj.levels()]
-        return max(zs) - min(zs) >= stop.k
+        # Zorich time is monotone in the level
+        return traj.zorich[traj.n_max] - traj.zorich[traj.n_min] >= stop.k
     if isinstance(stop, NormThreshold):
         return int(sum_norm(traj.matrix(traj.n_min, traj.n_max))) >= stop.t
     raise TypeError(f"unknown stop criterion {stop!r}")
@@ -436,10 +466,7 @@ def accelerated_times(traj: Trajectory, kind: str, start: int = 0) -> List[int]:
         d = traj.state(start).d
         B = identity_matrix(d)
         for n in range(start + 1, traj.n_max + 1):
-            a = traj.arrows[n]
-            li = a.source.index(a.loser)
-            wi = a.source.index(a.winner)
-            B[li, :] = B[li, :] + B[wi, :]
+            cocycle_step(B, traj.arrows[n])
             if all(x > 0 for x in B.ravel()):
                 times.append(n)
                 B = identity_matrix(d)

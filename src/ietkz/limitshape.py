@@ -655,7 +655,7 @@ def refinement_check(traj: Trajectory, chi: CentralSequence, n_prime: int, n: in
 
 @dataclass
 class FourierTestFunction:
-    """Mean-zero finite Fourier sum with an analytic Hoelder norm bound."""
+    """Mean-zero finite Fourier sum of Hoelder exponent eta."""
 
     length: float
     modes: List[Tuple[int, float, float]]  # (m, amplitude, phase)
@@ -663,14 +663,6 @@ class FourierTestFunction:
 
     def __call__(self, x: float) -> float:
         return sum(c * math.cos(2 * math.pi * m * x / self.length + p) for m, c, p in self.modes)
-
-    def holder_norm_bound(self) -> float:
-        sup = sum(abs(c) for _, c, _ in self.modes)
-        quot = sum(
-            abs(c) * 2 ** (1 - self.eta) * (2 * math.pi * m / self.length) ** self.eta
-            for m, c, _ in self.modes
-        )
-        return sup + quot
 
     @staticmethod
     def random(length: float, eta: float, n_modes: int, rng) -> "FourierTestFunction":

@@ -217,8 +217,7 @@ class Ball:
     @staticmethod
     def exact(x, bits: int = 256) -> "Ball":
         if isinstance(x, Quadratic):
-            r = sqrt_enclosure(x.D, bits + 8)
-            return (Ball.exact(x.a, bits) + Ball.exact(x.b, bits) * r).with_bits(bits)
+            return _quadratic_ball(x, bits)
         x = Fraction(x)
         return Ball(x, x, bits)
 
@@ -318,6 +317,62 @@ class Ball:
         return f"Ball(mid~{float(self.mid):.6g}, rad~{float(self.rad):.3g}, bits={self.bits})"
 
 
+def _quadratic_ball(x: Quadratic, bits: int) -> Ball:
+    """The ball [a] + [b] * sqrt_enclosure(D, bits + 8), re-rounded to ``bits``.
+
+    Each step rounds outward exactly as the Ball operations do, but on
+    dyadic pairs (n, s) = n / 2**s in integer arithmetic; the one Fraction
+    per endpoint is built at the end.
+    """
+    rb = bits + 8
+    m = math.isqrt(x.D << (2 * rb))
+    r = (_dyadic_round((m, rb), rb, -1), _dyadic_round((m + 1, rb), rb, 1))
+    a = (_fraction_round(x.a, bits, -1), _fraction_round(x.a, bits, 1))
+    b = (_fraction_round(x.b, bits, -1), _fraction_round(x.b, bits, 1))
+    cands = [(u[0] * v[0], u[1] + v[1]) for u in b for v in r]
+    top = max(c[1] for c in cands)
+    cands.sort(key=lambda c: c[0] << (top - c[1]))
+    p_lo = _dyadic_round(cands[0], bits, -1)
+    p_hi = _dyadic_round(cands[-1], bits, 1)
+    lo = _dyadic_round(_dyadic_round(_dyadic_add(a[0], p_lo), bits, -1), bits, -1)
+    hi = _dyadic_round(_dyadic_round(_dyadic_add(a[1], p_hi), bits, 1), bits, 1)
+    return Ball(_dyadic_fraction(lo), _dyadic_fraction(hi), bits, _round=False)
+
+
+def _fraction_round(x: Fraction, bits: int, direction: int) -> tuple:
+    """_round_frac_down (direction -1) or _round_frac_up (+1) as a dyadic pair."""
+    p, q = x.numerator, x.denominator
+    if p == 0:
+        return (0, 0)
+    shift = bits - (p.bit_length() - q.bit_length())
+    if shift >= 0:
+        p <<= shift
+    else:
+        q <<= -shift
+    return (p // q if direction < 0 else -(-p // q), shift)
+
+
+def _dyadic_round(x: tuple, bits: int, direction: int) -> tuple:
+    n, s = x
+    if n == 0:
+        return (0, 0)
+    shift = bits - (n.bit_length() - s - 1)  # the exponent of n / 2**s
+    k = shift - s
+    if k >= 0:
+        return (n << k, shift)
+    return (n >> -k if direction < 0 else -(-n >> -k), shift)
+
+
+def _dyadic_add(x: tuple, y: tuple) -> tuple:
+    s = max(x[1], y[1])
+    return ((x[0] << (s - x[1])) + (y[0] << (s - y[1])), s)
+
+
+def _dyadic_fraction(x: tuple) -> Fraction:
+    n, s = x
+    return Fraction(n, 1 << s) if s >= 0 else Fraction(n << -s)
+
+
 def sqrt_enclosure(n: int, bits: int) -> Ball:
     """Rigorous dyadic enclosure of sqrt(n) for a positive integer ``n``."""
     if n <= 0:
@@ -390,16 +445,6 @@ def _log_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Quadratic) and x.b == 0:
-        return x.a
-    raise TypeError(f"not an exact rational: {x!r}")
-
-
 # ---------------------------------------------------------------------------
 # serialization (rationals "p/q"; quadratics {"a","b","D"}; balls mid/rad)
 
@@ -466,12 +511,6 @@ def identity_matrix(d: int) -> np.ndarray:
     m = np.zeros((d, d), dtype=object)
     for i in range(d):
         m[i, i] = 1
-    return m
-
-
-def zeros_matrix(r: int, c: int) -> np.ndarray:
-    m = np.empty((r, c), dtype=object)
-    m[:] = 0
     return m
 
 

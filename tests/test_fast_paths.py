@@ -1,0 +1,256 @@
+"""Fast paths against the slow reference implementations they replaced."""
+
+import dataclasses
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from oracles import (
+    dual_holder_profile_reference,
+    quadratic_ball_reference,
+    restricted_operator_norm_reference,
+    zorich_stop_rescan,
+)
+
+from ietkz.birkhoff import dual_holder_profile
+from ietkz.combinatorics import CombinatorialData, all_irreducible
+from ietkz.diophantine import restricted_operator_norm
+from ietkz.errors import HorizontalDegenerate, InvalidLengths, NotSuspensionVector
+from ietkz.induction import (
+    DUAL_COMPLETE,
+    Steps,
+    Trajectory,
+    ZorichSteps,
+    _stop_reached,
+    accelerated_times,
+    backward_step,
+    canonical_tau,
+    forward_step,
+    make_state,
+    run,
+    run_window,
+)
+from ietkz.limitshape import FourierTestFunction
+from ietkz.numerics import Ball, Quadratic, exact_log, to_float
+from ietkz.scenario import sample_rational_lengths, sample_rational_suspension
+
+ROT2 = CombinatorialData.from_rows(["A", "B"], ["B", "A"])
+ABC = CombinatorialData.from_rows(["A", "B", "C"], ["C", "B", "A"])
+PHI = Quadratic(Fraction(1, 2), Fraction(1, 2), 5)
+ONE = Quadratic(1, 0, 5)
+
+
+def golden_backward(depth=40):
+    st = make_state(ROT2, (PHI, ONE), (ONE, ONE - PHI))
+    return run(st, "backward", Steps(depth))
+
+
+def abc_backward(depth=110):
+    lam = (Fraction(123457, 7), Fraction(654321, 11), Fraction(222222, 13))
+    shifts = (Fraction(-150, 9973), Fraction(220, 9973), Fraction(-90, 9973))
+    tau = tuple(b + Quadratic(0, c, 5) for b, c in zip(canonical_tau(ABC), shifts))
+    return run(make_state(ABC, lam, tau), "backward", Steps(depth))
+
+
+# ---------------------------------------------------------------------------
+# restricted operator norm
+
+
+def _random_weight(rng, kind, D):
+    a = Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+    if kind == "fraction":
+        return a
+    return Quadratic(a, Fraction(rng.randint(-40, 40), rng.randint(1, 30)), D)
+
+
+@pytest.mark.parametrize("kind", ["fraction", "quadratic", "mixed"])
+def test_restricted_norm_kernel_equals_scalar_loop(kind):
+    rng = random.Random(f"restricted-{kind}")
+    for trial in range(150):
+        d = rng.choice([2, 3, 4, 5])
+        D = rng.choice([2, 3, 5, 7, 13])
+        big = rng.random() < 0.2  # cocycle-sized entries
+        M = np.array(
+            [[rng.randint(-6, 6) * (rng.randint(1, 10**12) if big else 1) for _ in range(d)] for _ in range(d)],
+            dtype=object,
+        )
+        w = []
+        for _ in range(d):
+            k = kind if kind != "mixed" else rng.choice(["fraction", "quadratic"])
+            x = _random_weight(rng, k, D)
+            if rng.random() < 0.2:  # a zero weight, typed like the others
+                x = x - x
+            w.append(x)
+        got = restricted_operator_norm(M, w)
+        want = restricted_operator_norm_reference(M, w)
+        assert got == want, (M.tolist(), w)
+        assert type(got) is type(want), (M.tolist(), w)
+        if isinstance(want, Quadratic):
+            assert (got.a, got.b, got.D) == (want.a, want.b, want.D)
+
+
+def test_restricted_norm_int_weights_are_exact():
+    # the scalar loop divides ints with "/" into floats (and then fails to
+    # compare them); the kernel returns the exact rational value
+    M = np.array([[2, 1, 0], [1, 1, 3], [0, 5, 1]], dtype=object)
+    w = [3, -5, 2]
+    got = restricted_operator_norm(M, w)
+    assert type(got) is Fraction
+    assert got == restricted_operator_norm_reference(M, [Fraction(x) for x in w])
+    w = [0, 4, 1]
+    assert restricted_operator_norm(M, w) == restricted_operator_norm_reference(M, [Fraction(x) for x in w])
+
+
+def test_restricted_norm_on_backward_cocycle_matches_scalar_loop():
+    traj = abc_backward()
+    q0 = traj.state(0).heights()
+    for n, B in traj.backward_matrices():
+        got = restricted_operator_norm(B.T, q0)
+        want = restricted_operator_norm_reference(B.T, q0)
+        assert got == want and type(got) is type(want)
+
+
+def test_restricted_norm_overlapping_ball_candidates():
+    # two vertices whose image norms are overlapping balls: the scalar loop
+    # used to compare None with 0; the result is now their hull
+    M = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=object)
+    w = [Ball(1, 1, 64), Ball(1, 1, 64), Ball(Fraction(9, 10), Fraction(11, 10), 64)]
+    with pytest.raises(TypeError):
+        restricted_operator_norm_reference(M, w)
+    got = restricted_operator_norm(M, w)
+    assert isinstance(got, Ball)
+    # every exact weight vector inside the balls has its norm inside the result
+    for c in (Fraction(9, 10), Fraction(1), Fraction(21, 20), Fraction(11, 10)):
+        exact = restricted_operator_norm_reference(M, [Fraction(1), Fraction(1), c])
+        assert got.contains(exact)
+    M2 = np.array([[3, 1, 0], [1, 2, 1], [0, 1, 4]], dtype=object)
+    got2 = restricted_operator_norm(M2, w)
+    for c in (Fraction(9, 10), Fraction(1), Fraction(11, 10)):
+        assert got2.contains(restricted_operator_norm_reference(M2, [Fraction(1), Fraction(1), c]))
+
+
+# ---------------------------------------------------------------------------
+# ball enclosures of quadratic numbers
+
+
+def test_quadratic_ball_equals_ball_arithmetic():
+    rng = random.Random(8)
+
+    def part():
+        if rng.random() < 0.1:
+            return Fraction(0)
+        k = rng.choice([1, 2, 5, 40, 200])
+        return Fraction(rng.randint(-(10**k), 10**k), rng.randint(1, 10 ** rng.choice([0, 1, 3, 30])))
+
+    for _ in range(3000):
+        x = Quadratic(part(), part(), rng.choice([2, 3, 5, 6, 7, 10, 11, 13, 101]))
+        bits = rng.choice([8, 16, 53, 64, 128, 256, 1024])
+        got, want = Ball.exact(x, bits), quadratic_ball_reference(x, bits)
+        assert (got.lo, got.hi, got.bits) == (want.lo, want.hi, want.bits), (x, bits)
+
+
+def test_exact_log_of_cancelling_quadratic_unchanged():
+    # a + b sqrt(D) with a ~ -b sqrt(D): the enclosure loop has to raise bits
+    x = Quadratic(Fraction(228826127), Fraction(-102334155), 5)
+    assert x.sign() > 0
+    bits = 64
+    while True:
+        enc = quadratic_ball_reference(x, bits)
+        if enc.lo > 0 and enc.hi - enc.lo < enc.lo * Fraction(1, 1 << 20):
+            break
+        bits *= 2
+    mid = enc.mid
+    assert bits > 64
+    assert exact_log(x) == math.log(mid.numerator) - math.log(mid.denominator)
+
+
+# ---------------------------------------------------------------------------
+# int-coded dual Hoelder words
+
+
+def _holder_levels(traj, cap=2 * 10**5):
+    times = accelerated_times(traj, DUAL_COMPLETE)
+    return [t for t in times[1:] if traj.norm(t, 0) <= cap]
+
+
+@pytest.mark.parametrize("make", [golden_backward, abc_backward])
+def test_dual_holder_profile_equals_list_words(make):
+    traj = make()
+    st0 = traj.state(0)
+    rng = random.Random(5)
+    for alpha in st0.pi.letters:
+        psi = FourierTestFunction.random(to_float(st0.heights()[st0.pi.index(alpha)]), 0.5, 3, rng)
+        levels = _holder_levels(traj)
+        levels = levels + [levels[0], max(traj.n_min, -7), 0]  # duplicates and extra levels
+        got = dual_holder_profile(traj, levels, psi, alpha, grid=4)
+        assert got == dual_holder_profile_reference(traj, levels, psi, alpha, grid=4)
+        assert len(got) >= 3
+
+
+# ---------------------------------------------------------------------------
+# incremental B(n, 0)
+
+
+def test_backward_matrices_equal_assembled_cocycle():
+    st = make_state(ROT2, (PHI, ONE), (ONE, ONE - PHI))
+    for traj in (abc_backward(), golden_backward(30), run_window(st, back=20, fwd=7)):
+        seen = []
+        for n, B in traj.backward_matrices():
+            assert (B == traj.matrix(n, 0)).all(), n
+            seen.append(n)
+        assert seen == list(range(0, traj.n_min - 1, -1))
+
+
+# ---------------------------------------------------------------------------
+# induction: Zorich stop test and cached heights
+
+
+def _stepped_stop(state, direction, k, limit=400):
+    """Steps by hand until the rescanning Zorich test fires."""
+    traj = Trajectory(state)
+    cur = state
+    for _ in range(limit):
+        if zorich_stop_rescan(traj, k):
+            return traj
+        assert not _stop_reached(traj, ZorichSteps(k), 0)
+        if direction == "forward":
+            cur, a = forward_step(cur)
+            traj._append_forward(cur, a)
+        else:
+            cur, a = backward_step(cur)
+            traj._append_backward(cur, a)
+    raise AssertionError("no stop within the step limit")
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_zorich_stop_levels_match_rescan(direction):
+    rng = random.Random(f"zorich-{direction}")
+    checked = 0
+    while checked < 12:
+        d = rng.choice([2, 3, 4])
+        pi = rng.choice(list(all_irreducible(d)))
+        try:
+            state = make_state(pi, sample_rational_lengths(pi, rng), sample_rational_suspension(pi, rng))
+            k = rng.randint(1, 8)
+            want = _stepped_stop(state, direction, k)
+            got = run(state, direction, ZorichSteps(k))
+        except (InvalidLengths, NotSuspensionVector, HorizontalDegenerate):
+            continue
+        assert (got.n_min, got.n_max) == (want.n_min, want.n_max)
+        assert _stop_reached(got, ZorichSteps(k), 0)
+        checked += 1
+
+
+def test_heights_cached_without_changing_equality():
+    st = make_state(ROT2, (PHI, ONE), (ONE, ONE - PHI))
+    twin = make_state(ROT2, (PHI, ONE), (ONE, ONE - PHI))
+    q = st.heights()
+    assert st.heights() is q
+    assert st == twin and hash(st) == hash(twin)
+    assert twin.heights() == q
+    assert [f.name for f in dataclasses.fields(st)] == ["pi", "lam", "tau", "level"]
+    with pytest.raises(InvalidLengths):
+        make_state(ROT2, (PHI, ONE)).heights()
