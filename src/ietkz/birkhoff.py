@@ -18,7 +18,7 @@ import numpy as np
 from .combinatorics import TOP, CombinatorialData, singular_structure
 from .errors import WindowMissing
 from .induction import InductionState, Trajectory, visit_words
-from .numerics import certified_sign, to_float
+from .numerics import certified_sign, matvec, to_float
 from .oracle import IEMap
 
 HORIZONTAL = "horizontal"  # one value per exchanged interval
@@ -77,21 +77,6 @@ class SampledPiecewiseFunction:
         return self.evaluate(letter, 0), self.evaluate(letter, length)
 
 
-def _matvec(M: np.ndarray, v: Sequence) -> tuple:
-    d = M.shape[0]
-    out = []
-    for i in range(d):
-        acc = None
-        for j in range(d):
-            c = M[i, j]
-            if c == 0:
-                continue
-            term = v[j] if c == 1 else c * v[j]
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else 0 * v[0])
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # direct special Birkhoff sums
 
@@ -104,7 +89,7 @@ def special_sum(phi: PiecewiseConstantVector, traj: Trajectory, n: int) -> Piece
     if not (traj.n_min <= m <= n <= traj.n_max):
         raise WindowMissing(f"window misses [{m},{n}]")
     B = traj.matrix(m, n)
-    return PiecewiseConstantVector(n, HORIZONTAL, _matvec(B, phi.values))
+    return PiecewiseConstantVector(n, HORIZONTAL, matvec(B, phi.values))
 
 
 def special_sum_sampled(
@@ -186,7 +171,7 @@ def boundary(phi, state: InductionState):
     d = pi.d
     if isinstance(phi, PiecewiseConstantVector):
         D = boundary_matrix(pi)
-        return _matvec_rect(D, phi.values)
+        return matvec(D, phi.values)
     values_left = {}
     values_right = {}
     for a in pi.letters:
@@ -202,21 +187,6 @@ def boundary(phi, state: InductionState):
             plus = values_right[pi.top[i]] if i <= d - 1 else 0.0
             acc = acc + (minus - plus)
         out.append(acc)
-    return tuple(out)
-
-
-def _matvec_rect(M: np.ndarray, v: Sequence) -> tuple:
-    rows, cols = M.shape
-    out = []
-    for i in range(rows):
-        acc = None
-        for j in range(cols):
-            c = M[i, j]
-            if c == 0:
-                continue
-            term = v[j] if c == 1 else c * v[j]
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else 0 * v[0])
     return tuple(out)
 
 
@@ -324,7 +294,7 @@ def dual_sum(psi, traj: Trajectory, n_prime: int) -> object:
         if psi.side != VERTICAL:
             raise ValueError("dual sums act on the vertical side")
         B = traj.matrix(n_prime, n)
-        return PiecewiseConstantVector(n_prime, VERTICAL, _matvec(B.T, psi.values))
+        return PiecewiseConstantVector(n_prime, VERTICAL, matvec(B.T, psi.values))
     st_n = traj.state(n)
     decomps = {a: dual_decomposition(traj, n_prime, n, a) for a in st_n.pi.letters}
     st_p = traj.state(n_prime)

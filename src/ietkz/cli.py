@@ -49,20 +49,6 @@ from .numerics import Ball, Quadratic, certified_sign, decimal_string, matrix_to
 from .oracle import visit_counts
 from .scenario import Scenario, parse_scenario
 
-COMMANDS = (
-    "diagram",
-    "induct",
-    "backward",
-    "roth",
-    "dual-roth",
-    "birkhoff",
-    "dual-birkhoff",
-    "limit-shape",
-    "homology",
-    "verify",
-)
-
-
 def _scalar_str(x) -> str:
     if isinstance(x, float):
         return repr(x)
@@ -117,6 +103,11 @@ def emit(report: dict, out_dir: str, name: str, csv_tables: Optional[Dict[str, L
     return path
 
 
+def _strictly_increasing(xs) -> bool:
+    """Each exact scalar certifiably below the next (an undecided ball sign fails)."""
+    return all(certified_sign(b - a) == 1 for a, b in zip(xs, xs[1:]))
+
+
 def _forward_trajectory(sc: Scenario):
     state = sc.state()
     stop = ZorichSteps(sc.zorich_depth) if sc.zorich_depth else Steps(sc.depth)
@@ -167,19 +158,12 @@ def cmd_induct(sc: Scenario) -> tuple:
 def cmd_backward(sc: Scenario) -> tuple:
     state = sc.state()
     traj = run(state, "backward", Steps(sc.backward_depth), rebuild=sc.rebuild() if sc.backend == "ball" else None, max_bits=sc.max_bits)
-    hs = []
-    monotone = True
-    prev = None
-    for n in range(traj.n_max, traj.n_min - 1, -1):
-        _, _, H = h_profile(traj.state(n))
-        hs.append({"n": n, "H": to_float(H)})
-        if prev is not None and not to_float(H) < prev:
-            monotone = False
-        prev = to_float(H)
+    H = {n: h_profile(traj.state(n))[2] for n in traj.levels()}
+    hs = [{"n": n, "H": to_float(H[n])} for n in reversed(traj.levels())]
     report = {
         "command": "backward",
         "steps": -traj.n_min,
-        "h_monotone": monotone,
+        "h_monotone": _strictly_increasing([H[n] for n in traj.levels()]),
         "h_profile": hs,
         "trajectory": traj.export_stream(),
     }
@@ -432,8 +416,8 @@ def cmd_verify(sc: Scenario) -> tuple:
         state = sc.state()
         try:
             back = run(state, "backward", Steps(sc.backward_depth))
-            hs = [to_float(h_profile(back.state(m))[2]) for m in range(back.n_min, back.n_max + 1)]
-            check("h_strictly_decreasing_backward", all(x < y for x, y in zip(hs, hs[1:])))
+            hs = [h_profile(back.state(m))[2] for m in back.levels()]
+            check("h_strictly_decreasing_backward", _strictly_increasing(hs))
             q0 = back.state(0).heights()
             qm = back.state(back.n_min).heights()
             Bq = back.matrix(back.n_min, 0)
@@ -451,32 +435,28 @@ def cmd_verify(sc: Scenario) -> tuple:
     return report, {}
 
 
+COMMAND_TABLE = {
+    "diagram": cmd_diagram,
+    "induct": cmd_induct,
+    "backward": cmd_backward,
+    "roth": cmd_roth,
+    "dual-roth": cmd_dual_roth,
+    "birkhoff": cmd_birkhoff,
+    "dual-birkhoff": cmd_dual_birkhoff,
+    "limit-shape": cmd_limit_shape,
+    "homology": cmd_homology,
+    "verify": cmd_verify,
+}
+COMMANDS = tuple(COMMAND_TABLE)
+
+
 def execute(sc: Scenario, command: str, out_dir: str) -> int:
     """Runs one command and writes its reports; returns the exit code."""
+    if command not in COMMAND_TABLE:
+        print(f"unknown command {command!r}", file=sys.stderr)
+        return 4
     try:
-        if command == "diagram":
-            report, tables = cmd_diagram(sc)
-        elif command == "induct":
-            report, tables = cmd_induct(sc)
-        elif command == "backward":
-            report, tables = cmd_backward(sc)
-        elif command == "roth":
-            report, tables = cmd_roth(sc)
-        elif command == "dual-roth":
-            report, tables = cmd_dual_roth(sc)
-        elif command == "birkhoff":
-            report, tables = cmd_birkhoff(sc)
-        elif command == "dual-birkhoff":
-            report, tables = cmd_dual_birkhoff(sc)
-        elif command == "limit-shape":
-            report, tables = cmd_limit_shape(sc)
-        elif command == "homology":
-            report, tables = cmd_homology(sc)
-        elif command == "verify":
-            report, tables = cmd_verify(sc)
-        else:
-            print(f"unknown command {command!r}", file=sys.stderr)
-            return 4
+        report, tables = COMMAND_TABLE[command](sc)
     except (InsufficientTrajectory,) as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return 2

@@ -357,7 +357,8 @@ def dual_roth_profiles(backtraj: Trajectory, tol: float = 0.2) -> RothProfile:
     prof.tail_ratio = _tail_max(ratios)
     q0 = backtraj.state(0).heights()
     first_block = times[1]
-    for n, B in backtraj.backward_matrices():
+    for n in range(0, backtraj.n_min - 1, -1):
+        B = backtraj.matrix(n, 0)
         norm = int(sum_norm(B))
         if norm <= len(q0):
             continue
@@ -482,7 +483,8 @@ def length_diagnostics(
         return rep
     if direction == "backward":
         aux = []
-        for m, B in traj.backward_matrices():
+        for m in range(0, traj.n_min - 1, -1):
+            B = traj.matrix(m, 0)
             q = traj.state(m).heights()
             norm = int(sum_norm(B))
             logn = exact_log(norm)

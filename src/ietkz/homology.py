@@ -121,9 +121,7 @@ class RelativeClass:
             B = self.traj.matrix(base, n)
             out = tuple(sum(B[i, j] * chi[j] for j in range(d)) for i in range(d))
         else:
-            from .numerics import exact_inverse
-
-            Binv = exact_inverse(self.traj.matrix(n, base))
+            Binv = self.traj.inverse(n, base)
             out = tuple(sum(Binv[i, j] * chi[j] for j in range(d)) for i in range(d))
         self.coefficients[n] = out
         return out
@@ -283,9 +281,7 @@ def _pullback_to_level0(traj: Trajectory, chi_n: Sequence, n: int) -> tuple:
     if n == 0:
         return tuple(chi_n)
     if n > 0:
-        from .numerics import exact_inverse
-
-        Binv = exact_inverse(traj.matrix(0, n))
+        Binv = traj.inverse(0, n)
         return tuple(sum(Binv[i, j] * chi_n[j] for j in range(d)) for i in range(d))
     B = traj.matrix(n, 0)
     return tuple(sum(B[i, j] * chi_n[j] for j in range(d)) for i in range(d))
@@ -298,9 +294,7 @@ def _transport(traj: Trajectory, chi0: Sequence, n: int) -> tuple:
     if n > 0:
         B = traj.matrix(0, n)
         return tuple(sum(B[i, j] * chi0[j] for j in range(d)) for i in range(d))
-    from .numerics import exact_inverse
-
-    Binv = exact_inverse(traj.matrix(n, 0))
+    Binv = traj.inverse(n, 0)
     return tuple(sum(Binv[i, j] * chi0[j] for j in range(d)) for i in range(d))
 
 

@@ -1,9 +1,9 @@
 """Forward and backward Rauzy-Veech induction with exact branch decisions.
 
 States carry length data, optional suspension data and cached heights.
-Trajectories record every state and arrow of a window [n_min, n_max] and
-assemble cocycle matrices B(m, n) on demand from cumulative products
-snapshotted at Zorich block boundaries.
+Trajectories record every state and arrow of a window [n_min, n_max],
+and the cocycle once per level as a matrix G(n) with its exact integer
+inverse, so that B(m, n) and B(m, n)^-1 are each one matrix product.
 """
 
 from __future__ import annotations
@@ -31,24 +31,9 @@ from .errors import (
     NotSuspensionVector,
     PrecisionExhausted,
 )
-from .numerics import Ball, certified_sign, identity_matrix, sum_norm
+from .numerics import Ball, certified_sign, identity_matrix, matvec, sum_norm
 
 Vector = Tuple  # per-letter scalars in canonical order
-
-
-def _matvec(M: np.ndarray, v: Sequence) -> tuple:
-    d = M.shape[0]
-    out = []
-    for i in range(d):
-        acc = None
-        for j in range(d):
-            c = M[i, j]
-            if c == 0:
-                continue
-            term = v[j] if c == 1 else c * v[j]
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else 0 * v[0])
-    return tuple(out)
 
 
 def cocycle_step(M: np.ndarray, a: RauzyArrow, right: bool = False, inv: Optional[np.ndarray] = None) -> None:
@@ -56,12 +41,16 @@ def cocycle_step(M: np.ndarray, a: RauzyArrow, right: bool = False, inv: Optiona
 
     With E = I + E[loser, winner]: M <- E M (row[loser] += row[winner]), or
     M <- M E (column[winner] += column[loser]) when ``right``.  ``inv``, the
-    inverse of a left product, is kept in step: inv <- inv E^-1.
+    inverse of M, is kept in step: inv <- inv E^-1 (column[winner] -=
+    column[loser]) after a left product, inv <- E^-1 inv (row[loser] -=
+    row[winner]) after a right one.
     """
     li = a.source.index(a.loser)
     wi = a.source.index(a.winner)
     if right:
         M[:, wi] = M[:, wi] + M[:, li]
+        if inv is not None:
+            inv[li, :] = inv[li, :] - inv[wi, :]
         return
     M[li, :] = M[li, :] + M[wi, :]
     if inv is not None:
@@ -91,7 +80,7 @@ class InductionState:
                 raise InvalidLengths("heights need suspension data")
             om = omega_matrix(self.pi)
             neg = np.array([[-x for x in row] for row in om], dtype=object)
-            q = _matvec(neg, self.tau)
+            q = matvec(neg, self.tau)
             object.__setattr__(self, "_heights", q)
         return q
 
@@ -235,7 +224,14 @@ class NormThreshold:
 
 
 class Trajectory:
-    """Window [n_min, n_max] of states with arrows keyed by target level."""
+    """Window [n_min, n_max] of states with arrows keyed by target level.
+
+    The cocycle is stored once per level as the pair (G(n), G(n)^-1), with
+    G = I at the centre level c, G(n) = B(c, n) above it and
+    G(n) = B(n, c)^-1 below it.  Then B(m, n) = G(n) G(m)^-1 for every
+    m <= n in the window; each append costs one elementary update of a
+    copy of its neighbour's pair.
+    """
 
     def __init__(self, center: InductionState):
         lvl = center.level
@@ -244,7 +240,8 @@ class Trajectory:
         self.zorich: Dict[int, int] = {lvl: 0}
         self.n_min = lvl
         self.n_max = lvl
-        self._snapshots: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        d = center.d
+        self._cocycle: Dict[int, Tuple[np.ndarray, np.ndarray]] = {lvl: (identity_matrix(d), identity_matrix(d))}
 
     # -- construction -----------------------------------------------------
     def _append_forward(self, state: InductionState, a: RauzyArrow) -> None:
@@ -254,8 +251,11 @@ class Trajectory:
         self.arrows[n] = a
         self.states[n] = state
         self.zorich[n] = self.zorich[self.n_max] + (1 if prev is not None and prev.kind != a.kind else 0)
+        # G(n) = E G(n-1), G(n)^-1 = G(n-1)^-1 E^-1
+        G, Ginv = (X.copy() for X in self._cocycle[self.n_max])
+        cocycle_step(G, a, inv=Ginv)
+        self._cocycle[n] = (G, Ginv)
         self.n_max = n
-        self._snapshots.clear()
 
     def _append_backward(self, state: InductionState, a: RauzyArrow) -> None:
         n = state.level
@@ -264,8 +264,11 @@ class Trajectory:
         self.arrows[self.n_min] = a
         self.states[n] = state
         self.zorich[n] = self.zorich[self.n_min] - (1 if succ is not None and succ.kind != a.kind else 0)
+        # G(n)^-1 = G(n+1)^-1 E, G(n) = E^-1 G(n+1)
+        G, Ginv = (X.copy() for X in self._cocycle[self.n_min])
+        cocycle_step(Ginv, a, right=True, inv=G)
+        self._cocycle[n] = (G, Ginv)
         self.n_min = n
-        self._snapshots.clear()
 
     # -- access -------------------------------------------------------------
     def state(self, n: int) -> InductionState:
@@ -282,62 +285,22 @@ class Trajectory:
         return self.zorich[n]
 
     # -- cocycle matrices -----------------------------------------------
-    def _ensure_snapshots(self) -> None:
-        if self._snapshots:
-            return
-        d = self.states[self.n_min].d
-        C = identity_matrix(d)
-        Cinv = identity_matrix(d)
-        self._snapshots[self.n_min] = (C.copy(), Cinv.copy())
-        for n in range(self.n_min + 1, self.n_max + 1):
-            a = self.arrows[n]
-            C = C.copy()
-            Cinv = Cinv.copy()
-            cocycle_step(C, a, inv=Cinv)
-            is_boundary = n == self.n_max or (
-                n + 1 in self.arrows and self.arrows[n + 1].kind != a.kind
-            )
-            if is_boundary:
-                self._snapshots[n] = (C, Cinv)
-
-    def _cumulative(self, n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(B(n_min, n), B(n_min, n)^{-1}) from the nearest snapshot."""
-        self._ensure_snapshots()
-        if n in self._snapshots:
-            return self._snapshots[n]
-        z = max(k for k in self._snapshots if k <= n)
-        C, Cinv = self._snapshots[z]
-        C = C.copy()
-        Cinv = Cinv.copy()
-        for k in range(z + 1, n + 1):
-            cocycle_step(C, self.arrows[k], inv=Cinv)
-        return C, Cinv
-
-    def matrix(self, m: int, n: int) -> np.ndarray:
-        """B(m, n) for n_min <= m <= n <= n_max (identity when m == n)."""
+    def _check_window(self, m: int, n: int) -> None:
         if not (self.n_min <= m <= n <= self.n_max):
             raise InsufficientTrajectory(f"window [{self.n_min},{self.n_max}] misses [{m},{n}]")
-        Cn, _ = self._cumulative(n)
-        _, Cinvm = self._cumulative(m)
-        return Cn @ Cinvm
+
+    def matrix(self, m: int, n: int) -> np.ndarray:
+        """B(m, n) = G(n) G(m)^-1 for n_min <= m <= n <= n_max (identity when m == n)."""
+        self._check_window(m, n)
+        return self._cocycle[n][0] @ self._cocycle[m][1]
+
+    def inverse(self, m: int, n: int) -> np.ndarray:
+        """B(m, n)^-1 = G(m) G(n)^-1, an exact integer matrix, on the same window as ``matrix``."""
+        self._check_window(m, n)
+        return self._cocycle[m][0] @ self._cocycle[n][1]
 
     def norm(self, m: int, n: int) -> int:
         return int(sum_norm(self.matrix(m, n)))
-
-    def backward_matrices(self):
-        """Yields (n, B(n, 0)) for n = 0, -1, ..., n_min.
-
-        B(n - 1, 0) = B(n, 0) E_n, so each level costs one column update
-        instead of a matrix product.  Every yielded matrix is a fresh array.
-        """
-        if not (self.n_min <= 0 <= self.n_max):
-            raise InsufficientTrajectory(f"window [{self.n_min},{self.n_max}] misses level 0")
-        B = identity_matrix(self.states[0].d)
-        yield 0, B
-        for n in range(0, self.n_min, -1):
-            B = B.copy()
-            cocycle_step(B, self.arrows[n], right=True)
-            yield n - 1, B
 
     def export_stream(self) -> List[dict]:
         out = []

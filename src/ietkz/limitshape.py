@@ -28,7 +28,7 @@ from .errors import (
     WindowMissing,
 )
 from .induction import InductionState, Trajectory, visit_words
-from .numerics import certified_sign, exact_inverse, exact_log, to_float
+from .numerics import certified_sign, exact_log, to_float
 from .oracle import IEMap
 
 SNAP_DENOMINATOR = 10**12
@@ -203,8 +203,7 @@ def central_sequence_from_vector(traj: Trajectory, chi0: Sequence, window: Tuple
         prev = vectors[n - 1]
         vectors[n] = tuple(sum(B[i, j] * prev[j] for j in range(d)) for i in range(d))
     for n in range(-1, n_lo - 1, -1):
-        B = traj.matrix(n, n + 1)
-        Binv = exact_inverse(B)
+        Binv = traj.inverse(n, n + 1)
         nxt = vectors[n + 1]
         vectors[n] = tuple(sum(Binv[i, j] * nxt[j] for j in range(d)) for i in range(d))
     return CentralSequence(vectors, "central", traj)
@@ -430,8 +429,7 @@ def correct_characteristic(
     # backward accumulation of unstable parts
     uacc: Dict[int, tuple] = {n_hi: zero}
     for n in range(n_hi - 1, n_lo - 1, -1):
-        B = traj.matrix(n, n + 1)
-        Binv = exact_inverse(B)
+        Binv = traj.inverse(n, n + 1)
         nxt = tuple(a + u for a, u in zip(uacc[n + 1], jump_unstable[n + 1]))
         uacc[n] = tuple(sum(Binv[i, j] * nxt[j] for j in range(d)) for i in range(d))
     for n in range(n_lo, n_hi + 1):

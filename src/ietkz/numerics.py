@@ -644,6 +644,26 @@ def snap_primitive(v: Sequence) -> np.ndarray:
     return np.array([x // g for x in ints], dtype=object)
 
 
+def matvec(M: np.ndarray, v: Sequence) -> tuple:
+    """M v for an integer matrix M and a vector of scalars.
+
+    Zero entries are skipped and unit entries add v[j] itself, so the
+    result keeps the scalar type of ``v``; an all-zero row gives 0 * v[0].
+    """
+    rows, cols = M.shape
+    out = []
+    for i in range(rows):
+        acc = None
+        for j in range(cols):
+            c = M[i, j]
+            if c == 0:
+                continue
+            term = v[j] if c == 1 else c * v[j]
+            acc = term if acc is None else acc + term
+        out.append(acc if acc is not None else 0 * v[0])
+    return tuple(out)
+
+
 def sum_norm(M: np.ndarray):
     """Matrix norm used throughout: the sum of absolute entry values."""
     total = 0

@@ -1,11 +1,14 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
 from ietkz.cli import main
+from ietkz.combinatorics import CombinatorialData
 from ietkz.errors import ParseError, ValidationError
-from ietkz.numerics import Quadratic
+from ietkz.induction import canonical_tau
+from ietkz.numerics import Quadratic, scalar_to_json
 from ietkz.scenario import golden_scenario_dict, parse_scenario, scenario_from_dict
 
 
@@ -124,3 +127,35 @@ def test_cli_ball_backend_runs(tmp_path):
     assert main(["--scenario", path, "--command", "induct", "--out-dir", str(out)]) == 0
     report = json.loads((out / "induct.json").read_text())
     assert report["steps"] == 8
+
+
+def abc_deep_backward_scenario():
+    """ABC/CBA with tau = canonical tau + (37/9973) sqrt(5): 300 backward
+    levels drive the float value of H(n) below zero."""
+    pi = CombinatorialData.from_rows(list("ABC"), list("CBA"))
+    shift = Quadratic(0, Fraction(37, 9973), 5)
+    return {
+        "alphabet": list(pi.letters),
+        "top": list(pi.top),
+        "bottom": list(pi.bottom),
+        "backend": "quadratic",
+        "lambda": [scalar_to_json(Fraction(p, q)) for p, q in ((123457, 7), (654321, 11), (222222, 13))],
+        "tau": [scalar_to_json(b + shift) for b in canonical_tau(pi)],
+        "depth": 30,
+        "backward_depth": 300,
+        "seed": 1,
+    }
+
+
+def test_cli_h_monotonicity_decided_exactly_on_deep_backward_run(tmp_path):
+    path = write_scenario(tmp_path, abc_deep_backward_scenario())
+    out = tmp_path / "out"
+    assert main(["--scenario", path, "--command", "backward", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "backward.json").read_text())
+    assert report["steps"] == 300
+    assert min(float(row["H"]) for row in report["h_profile"]) < 0  # the float column alone would refute it
+    assert report["h_monotone"] is True
+    assert main(["--scenario", path, "--command", "verify", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "verify.json").read_text())
+    assert {"check": "h_strictly_decreasing_backward", "pass": True} in report["checks"]
+    assert report["pass"] is True

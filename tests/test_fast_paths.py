@@ -16,9 +16,9 @@ from oracles import (
 )
 
 from ietkz.birkhoff import dual_holder_profile
-from ietkz.combinatorics import CombinatorialData, all_irreducible
+from ietkz.combinatorics import CombinatorialData, all_irreducible, path_matrix
 from ietkz.diophantine import restricted_operator_norm
-from ietkz.errors import HorizontalDegenerate, InvalidLengths, NotSuspensionVector
+from ietkz.errors import HorizontalDegenerate, InsufficientTrajectory, InvalidLengths, NotSuspensionVector
 from ietkz.induction import (
     DUAL_COMPLETE,
     Steps,
@@ -34,7 +34,7 @@ from ietkz.induction import (
     run_window,
 )
 from ietkz.limitshape import FourierTestFunction
-from ietkz.numerics import Ball, Quadratic, exact_log, to_float
+from ietkz.numerics import Ball, Quadratic, exact_inverse, exact_log, identity_matrix, to_float
 from ietkz.scenario import sample_rational_lengths, sample_rational_suspension
 
 ROT2 = CombinatorialData.from_rows(["A", "B"], ["B", "A"])
@@ -107,7 +107,8 @@ def test_restricted_norm_int_weights_are_exact():
 def test_restricted_norm_on_backward_cocycle_matches_scalar_loop():
     traj = abc_backward()
     q0 = traj.state(0).heights()
-    for n, B in traj.backward_matrices():
+    for n in traj.levels():
+        B = traj.matrix(n, 0)
         got = restricted_operator_norm(B.T, q0)
         want = restricted_operator_norm_reference(B.T, q0)
         assert got == want and type(got) is type(want)
@@ -191,17 +192,71 @@ def test_dual_holder_profile_equals_list_words(make):
 
 
 # ---------------------------------------------------------------------------
-# incremental B(n, 0)
+# per-level cocycle store: B(m, n) and B(m, n)^-1 against path products
 
 
-def test_backward_matrices_equal_assembled_cocycle():
+def _check_store(traj, m, n):
+    """matrix(m, n) is the product of the window's arrows (path_matrix) and
+    inverse(m, n) its exact integer inverse (exact_inverse)."""
+    d = traj.state(m).d
+    B = traj.matrix(m, n)
+    assert (B == path_matrix([traj.arrow_at(k) for k in range(m + 1, n + 1)], d)).all(), (m, n)
+    Binv = traj.inverse(m, n)
+    assert (Binv == exact_inverse(B)).all(), (m, n)
+    P = Binv @ B
+    assert (P == identity_matrix(d)).all(), (m, n)
+    assert all(type(x) is int for x in np.concatenate([Binv.ravel(), P.ravel()])), (m, n)
+
+
+def test_cocycle_store_equals_path_products_and_exact_inverse():
     st = make_state(ROT2, (PHI, ONE), (ONE, ONE - PHI))
     for traj in (abc_backward(), golden_backward(30), run_window(st, back=20, fwd=7)):
-        seen = []
-        for n, B in traj.backward_matrices():
-            assert (B == traj.matrix(n, 0)).all(), n
-            seen.append(n)
-        assert seen == list(range(0, traj.n_min - 1, -1))
+        for n in traj.levels():
+            for m in range(traj.n_min, n + 1):
+                _check_store(traj, m, n)
+
+
+def test_cocycle_store_between_appends_in_both_directions():
+    # the store is filled as the trajectory grows, with no cache to clear:
+    # read it after every append, alternating forward and backward steps
+    lam = (Fraction(123457, 7), Fraction(654321, 11), Fraction(222222, 13))
+    tau = tuple(b + Quadratic(0, Fraction(37, 9973), 5) for b in canonical_tau(ABC))
+    st = make_state(ABC, lam, tau)
+    traj = Trajectory(st)
+    fwd = back = st
+    for step in range(24):
+        if step % 3 == 0:
+            fwd, a = forward_step(fwd)
+            traj._append_forward(fwd, a)
+        else:
+            back, a = backward_step(back)
+            traj._append_backward(back, a)
+        _check_store(traj, traj.n_min, traj.n_max)
+        _check_store(traj, traj.n_min, 0)
+        _check_store(traj, 0, traj.n_max)
+        mid = (traj.n_min + traj.n_max) // 2
+        _check_store(traj, mid, traj.n_max)
+    assert (traj.n_min, traj.n_max) == (-16, 8)
+
+
+def test_cocycle_store_results_are_fresh_arrays():
+    traj = golden_backward(12)
+    want = {(m, n): (traj.matrix(m, n).copy(), traj.inverse(m, n).copy()) for m, n in ((-12, 0), (-5, -5), (-7, -2))}
+    for m, n in want:
+        for M in (traj.matrix(m, n), traj.inverse(m, n)):
+            M[:, :] = 7
+    for (m, n), (B, Binv) in want.items():
+        assert (traj.matrix(m, n) == B).all() and (traj.inverse(m, n) == Binv).all()
+    _check_store(traj, traj.n_min, traj.n_max)
+
+
+def test_cocycle_inverse_outside_window_raises():
+    traj = golden_backward(10)
+    for m, n in ((-11, 0), (-3, 1), (0, -1), (-12, -11)):
+        with pytest.raises(InsufficientTrajectory):
+            traj.inverse(m, n)
+        with pytest.raises(InsufficientTrajectory):
+            traj.matrix(m, n)
 
 
 # ---------------------------------------------------------------------------
