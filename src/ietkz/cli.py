@@ -27,7 +27,6 @@ from .combinatorics import build_diagram, diagram_to_json, elementary_matrix, om
 from .errors import (
     ConnectionHit,
     HorizontalDegenerate,
-    IetkzError,
     InsufficientTrajectory,
     IoError,
     ParseError,
@@ -45,7 +44,7 @@ from .induction import (
     run_window,
     visit_words,
 )
-from .numerics import Ball, Quadratic, certified_sign, decimal_string, matrix_to_json, to_float
+from .numerics import Ball, Quadratic, certified_sign, decimal_string, matrix_to_json, matvec, to_float
 from .oracle import visit_counts
 from .scenario import Scenario, parse_scenario
 
@@ -420,8 +419,7 @@ def cmd_verify(sc: Scenario) -> tuple:
             check("h_strictly_decreasing_backward", _strictly_increasing(hs))
             q0 = back.state(0).heights()
             qm = back.state(back.n_min).heights()
-            Bq = back.matrix(back.n_min, 0)
-            got = tuple(sum(Bq[i, j] * qm[j] for j in range(d)) for i in range(d))
+            got = matvec(back.transport(back.n_min, 0), qm)
             check("height_transport_exact", all(certified_sign(a - b) == 0 for a, b in zip(got, q0)))
             try:
                 accelerated_times(back, DUAL_COMPLETE)

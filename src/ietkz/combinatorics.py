@@ -220,6 +220,28 @@ def elementary_matrix(a: RauzyArrow) -> np.ndarray:
     return m
 
 
+def cocycle_step(M: np.ndarray, a: RauzyArrow, right: bool = False, inv: Optional[np.ndarray] = None) -> None:
+    """The elementary cocycle step of arrow ``a``, in place.
+
+    With E = I + E[loser, winner]: M <- E M (row[loser] += row[winner]), or
+    M <- M E (column[winner] += column[loser]) when ``right``.  The left
+    product also takes a 1-D vector M, whose entry[loser] += entry[winner].
+    ``inv``, the inverse of the matrix M, is kept in step: inv <- inv E^-1
+    (column[winner] -= column[loser]) after a left product, inv <- E^-1 inv
+    (row[loser] -= row[winner]) after a right one.
+    """
+    li = a.source.index(a.loser)
+    wi = a.source.index(a.winner)
+    if right:
+        M[:, wi] = M[:, wi] + M[:, li]
+        if inv is not None:
+            inv[li, :] = inv[li, :] - inv[wi, :]
+        return
+    M[li] = M[li] + M[wi]
+    if inv is not None:
+        inv[:, wi] = inv[:, wi] - inv[:, li]
+
+
 def check_consecutive(path: Sequence[RauzyArrow]) -> None:
     for prev, nxt in zip(path, path[1:]):
         if prev.target.key() != nxt.source.key():

@@ -15,9 +15,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .combinatorics import BOTTOM, TOP, CombinatorialData, omega_matrix, rauzy_move
+from .combinatorics import BOTTOM, TOP, CombinatorialData, arrow, cocycle_step, omega_matrix, rauzy_move
 from .errors import NoStandardVertex, SubspaceMismatch
-from .numerics import exact_rank, exact_rank_nullspace, in_span, snap_primitive
+from .numerics import exact_rank, exact_rank_nullspace, in_span, matvec, snap_primitive
 
 
 def subspace_basis(pi: CombinatorialData) -> List[np.ndarray]:
@@ -170,21 +170,15 @@ def cone_contraction(B: np.ndarray, pi: CombinatorialData, pi2: CombinatorialDat
     """
     basis = subspace_basis(pi)
     basis2 = subspace_basis(pi2)
-    d = pi.d
-    for v in basis:
-        img = [sum(B[i, j] * v[j] for j in range(d)) for i in range(d)]
+    imgs = [matvec(B, v) for v in basis]
+    for img in imgs:
         if not in_span(basis2, img):
             raise SubspaceMismatch("B does not map the subspace into the target subspace")
-    imgs = np.stack(
-        [np.array([sum(B[i, j] * v[j] for j in range(d)) for i in range(d)], dtype=object) for v in basis],
-        axis=1,
-    )
-    if exact_rank(imgs) != len(basis2):
+    if exact_rank(np.array(imgs, dtype=object).T) != len(basis2):
         raise SubspaceMismatch("B does not map the subspace onto the target subspace")
     cone = absolute_cone_rays(pi)
     for r in cone.rays:
-        w = [sum(B[i, j] * r[j] for j in range(d)) for i in range(d)]
-        if not all(x > 0 for x in w):
+        if not all(x > 0 for x in matvec(B, r)):
             return False
     return True
 
@@ -227,13 +221,7 @@ def standard_witness(pi: CombinatorialData) -> np.ndarray:
     cur = std
     while cur.key() != pi.key():
         nxt, kind, _ = parent[cur.key()]
-        if kind == TOP:
-            winner, loser = cur.alpha_t, cur.alpha_b
-        else:
-            winner, loser = cur.alpha_b, cur.alpha_t
-        li = cur.index(loser)
-        wi = cur.index(winner)
-        x[li] = x[li] + x[wi]
+        cocycle_step(x, arrow(cur, kind))
         cur = nxt
     assert all(v > 0 for v in x)
     assert in_span(subspace_basis(pi), x)

@@ -26,7 +26,7 @@ from .induction import (
     accelerated_times,
 )
 from .limitshape import SplittingEstimate, _float_matrix, _orth_columns, splitting_estimate
-from .numerics import Ball, Quadratic, certified_sign, exact_log, scalar_abs, sum_norm, to_float
+from .numerics import Ball, Quadratic, certified_sign, exact_log, matvec, scalar_abs, sum_norm, to_float
 
 KIND_A = "A"
 KIND_A_PRIME = "APrime"
@@ -164,9 +164,8 @@ def _restricted_norm_scalar(M: np.ndarray, w: Sequence):
             v[j] = -w[i] / scale
             vertices.append(v)
     for v in vertices:
-        img = [sum(M[i, j] * v[j] for j in range(d)) for i in range(d)]
         norm = None
-        for x in img:
+        for x in matvec(M, v):
             a = scalar_abs(x)
             norm = a if norm is None else norm + a
         if best is None:
@@ -331,8 +330,7 @@ def roth_profiles(
 def _transport_basis(traj: Trajectory, basis: np.ndarray, n: int) -> np.ndarray:
     if n == 0:
         return basis
-    M = _float_matrix(traj.matrix(0, n)) if n > 0 else np.linalg.inv(_float_matrix(traj.matrix(n, 0)))
-    return _orth_columns(M @ basis)
+    return _orth_columns(_float_matrix(traj.transport(0, n)) @ basis)
 
 
 def _orth_complement(cols: np.ndarray) -> np.ndarray:

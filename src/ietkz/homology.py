@@ -1,7 +1,8 @@
 """Homology-basis calculus: words, broken lines, projections, sections.
 
 Everything is coordinate-level: classes are coefficient vectors in the
-per-level bases, transported by the integer cocycle matrices; no
+per-level bases, moved between levels m and n by the exact integer matrix
+``Trajectory.transport(m, n)`` (B(m, n), or B(n, m)^-1 going down); no
 simplicial topology is computed.  The broken lines replay the limit-shape
 construction inside the punctured-surface and relative homology lattices.
 """
@@ -27,11 +28,10 @@ from .induction import Trajectory, visit_words
 from .limitshape import (
     LimitShapeGraph,
     SplittingEstimate,
-    _float_matrix,
     fit_slope,
     splitting_estimate,
 )
-from .numerics import certified_sign, exact_log, to_float
+from .numerics import certified_sign, exact_log, matvec, to_float
 from .simplex import min_sup_norm_solution
 
 BACKWARD = "Backward"
@@ -115,23 +115,12 @@ class RelativeClass:
         if n in self.coefficients:
             return self.coefficients[n]
         base = min(self.coefficients)
-        chi = self.coefficients[base]
-        d = len(chi)
-        if n >= base:
-            B = self.traj.matrix(base, n)
-            out = tuple(sum(B[i, j] * chi[j] for j in range(d)) for i in range(d))
-        else:
-            Binv = self.traj.inverse(n, base)
-            out = tuple(sum(Binv[i, j] * chi[j] for j in range(d)) for i in range(d))
+        out = matvec(self.traj.transport(base, n), self.coefficients[base])
         self.coefficients[n] = out
         return out
 
     def boundary(self, n: int = 0) -> tuple:
-        D = boundary_matrix(self.traj.state(n).pi)
-        chi = self.at(n)
-        return tuple(
-            sum(D[i, j] * chi[j] for j in range(len(chi))) for i in range(D.shape[0])
-        )
+        return matvec(boundary_matrix(self.traj.state(n).pi), self.at(n))
 
 
 def relative_class_from_level0(traj: Trajectory, chi0: Sequence) -> RelativeClass:
@@ -248,7 +237,7 @@ def boundary_section(
     total = list(prev)
     reduce_basis = est.stable if direction == "positive" else est.unstable
     for n in levels:
-        cur = _pullback_to_level0(traj, _least_norm_boundary_solution(traj, n, upsilon), n)
+        cur = matvec(traj.transport(n, 0), _least_norm_boundary_solution(traj, n, upsilon))
         # the level-to-level difference has zero boundary exactly; keep only
         # its part transverse to the estimated contracting space
         diff_exact = tuple(a - b for a, b in zip(cur, prev))
@@ -264,7 +253,7 @@ def boundary_section(
     profile = []
     xs, ys = [], []
     for n in range(0, window[1] + 1) if direction == "positive" else range(window[0], 1):
-        chi_n = _transport(traj, chi0, n)
+        chi_n = matvec(traj.transport(0, n), chi0)
         sup = max(abs(to_float(x)) for x in chi_n)
         norm = traj.norm(0, n) if n >= 0 else traj.norm(n, 0)
         entry = {"n": n, "sup": sup, "log_norm": exact_log(norm)}
@@ -274,28 +263,6 @@ def boundary_section(
             ys.append(math.log(sup))
     slope = fit_slope(xs, ys) if len(xs) >= 2 else None
     return SectionReport(tuple(upsilon), chi0, profile, slope, boundary_exact)
-
-
-def _pullback_to_level0(traj: Trajectory, chi_n: Sequence, n: int) -> tuple:
-    d = len(chi_n)
-    if n == 0:
-        return tuple(chi_n)
-    if n > 0:
-        Binv = traj.inverse(0, n)
-        return tuple(sum(Binv[i, j] * chi_n[j] for j in range(d)) for i in range(d))
-    B = traj.matrix(n, 0)
-    return tuple(sum(B[i, j] * chi_n[j] for j in range(d)) for i in range(d))
-
-
-def _transport(traj: Trajectory, chi0: Sequence, n: int) -> tuple:
-    d = len(chi0)
-    if n == 0:
-        return tuple(chi0)
-    if n > 0:
-        B = traj.matrix(0, n)
-        return tuple(sum(B[i, j] * chi0[j] for j in range(d)) for i in range(d))
-    Binv = traj.inverse(n, 0)
-    return tuple(sum(Binv[i, j] * chi0[j] for j in range(d)) for i in range(d))
 
 
 # ---------------------------------------------------------------------------

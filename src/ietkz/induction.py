@@ -19,6 +19,7 @@ from .combinatorics import (
     CombinatorialData,
     RauzyArrow,
     arrow,
+    cocycle_step,
     omega_matrix,
     rauzy_move,
     validate_pi,
@@ -34,27 +35,6 @@ from .errors import (
 from .numerics import Ball, certified_sign, identity_matrix, matvec, sum_norm
 
 Vector = Tuple  # per-letter scalars in canonical order
-
-
-def cocycle_step(M: np.ndarray, a: RauzyArrow, right: bool = False, inv: Optional[np.ndarray] = None) -> None:
-    """The elementary cocycle step of arrow ``a``, in place.
-
-    With E = I + E[loser, winner]: M <- E M (row[loser] += row[winner]), or
-    M <- M E (column[winner] += column[loser]) when ``right``.  ``inv``, the
-    inverse of M, is kept in step: inv <- inv E^-1 (column[winner] -=
-    column[loser]) after a left product, inv <- E^-1 inv (row[loser] -=
-    row[winner]) after a right one.
-    """
-    li = a.source.index(a.loser)
-    wi = a.source.index(a.winner)
-    if right:
-        M[:, wi] = M[:, wi] + M[:, li]
-        if inv is not None:
-            inv[li, :] = inv[li, :] - inv[wi, :]
-        return
-    M[li, :] = M[li, :] + M[wi, :]
-    if inv is not None:
-        inv[:, wi] = inv[:, wi] - inv[:, li]
 
 
 @dataclass(frozen=True)
@@ -299,6 +279,14 @@ class Trajectory:
         self._check_window(m, n)
         return self._cocycle[m][0] @ self._cocycle[n][1]
 
+    def transport(self, m: int, n: int) -> np.ndarray:
+        """The integer matrix taking level-m coordinates to level-n coordinates.
+
+        B(m, n) when m <= n and B(n, m)^-1 when n < m; exact vectors move by
+        ``matvec(traj.transport(m, n), v)``.
+        """
+        return self.matrix(m, n) if m <= n else self.inverse(n, m)
+
     def norm(self, m: int, n: int) -> int:
         return int(sum_norm(self.matrix(m, n)))
 
@@ -440,11 +428,8 @@ def accelerated_times(traj: Trajectory, kind: str, start: int = 0) -> List[int]:
         rays = [np.array(r, dtype=object) for r in absolute_cone_rays(traj.state(start).pi).rays]
         images = [r.copy() for r in rays]
         for n in range(start + 1, traj.n_max + 1):
-            a = traj.arrows[n]
-            li = a.source.index(a.loser)
-            wi = a.source.index(a.winner)
             for w in images:
-                w[li] = w[li] + w[wi]
+                cocycle_step(w, traj.arrows[n])
             if images and all(all(x > 0 for x in w) for w in images):
                 times.append(n)
                 rays = [np.array(r, dtype=object) for r in absolute_cone_rays(traj.state(n).pi).rays]

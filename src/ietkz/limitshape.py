@@ -28,7 +28,7 @@ from .errors import (
     WindowMissing,
 )
 from .induction import InductionState, Trajectory, visit_words
-from .numerics import certified_sign, exact_log, to_float
+from .numerics import certified_sign, exact_log, matvec, to_float
 from .oracle import IEMap
 
 SNAP_DENOMINATOR = 10**12
@@ -140,7 +140,7 @@ def splitting_estimate(
     stable = _orth_columns(proj @ stable)
     unstable = _orth_columns(proj @ unstable)
     if s > 1:
-        inv_b = np.linalg.inv(Bb)
+        inv_b = _float_matrix(traj.transport(0, n_lo))
         stack = np.concatenate([Bf / np.linalg.norm(Bf), inv_b / np.linalg.norm(inv_b)], axis=0)
         _, _, Vc = np.linalg.svd(stack)
         central = Vc.T[:, d - (s - 1) :]
@@ -182,12 +182,10 @@ class CentralSequence:
 
     def check_transport(self) -> bool:
         levels = sorted(self.vectors)
+        # forward products only: the levels below 0 were built with inverses,
+        # so this checks them independently of how they were built
         for m, n in zip(levels, levels[1:]):
-            B = self.traj.matrix(m, n)
-            d = len(self.vectors[m])
-            got = tuple(
-                sum(B[i, j] * self.vectors[m][j] for j in range(d)) for i in range(d)
-            )
+            got = matvec(self.traj.matrix(m, n), self.vectors[m])
             if any(certified_sign(a - b) != 0 for a, b in zip(got, self.vectors[n])):
                 return False
         return True
@@ -196,16 +194,11 @@ class CentralSequence:
 def central_sequence_from_vector(traj: Trajectory, chi0: Sequence, window: Tuple[int, int]) -> CentralSequence:
     """Transport an exact level-0 vector through the window by the cocycle."""
     n_lo, n_hi = window
-    d = len(chi0)
     vectors: Dict[int, tuple] = {0: tuple(chi0)}
     for n in range(1, n_hi + 1):
-        B = traj.matrix(n - 1, n)
-        prev = vectors[n - 1]
-        vectors[n] = tuple(sum(B[i, j] * prev[j] for j in range(d)) for i in range(d))
+        vectors[n] = matvec(traj.transport(n - 1, n), vectors[n - 1])
     for n in range(-1, n_lo - 1, -1):
-        Binv = traj.inverse(n, n + 1)
-        nxt = vectors[n + 1]
-        vectors[n] = tuple(sum(Binv[i, j] * nxt[j] for j in range(d)) for i in range(d))
+        vectors[n] = matvec(traj.transport(n + 1, n), vectors[n + 1])
     return CentralSequence(vectors, "central", traj)
 
 
@@ -274,12 +267,8 @@ class CorrectedCharacteristic:
         """v^(n) = B(n-1,n) v^(n-1) + raw_jumps^(n), exactly, everywhere."""
         levels = sorted(self.corrections)
         for m, n in zip(levels, levels[1:]):
-            B = self.traj.matrix(m, n)
-            d = len(self.corrections[m])
-            got = tuple(
-                sum(B[i, j] * self.corrections[m][j] for j in range(d)) + self.raw_jumps[n][i]
-                for i in range(d)
-            )
+            moved = matvec(self.traj.matrix(m, n), self.corrections[m])
+            got = tuple(x + j for x, j in zip(moved, self.raw_jumps[n]))
             if any(certified_sign(a - b) != 0 for a, b in zip(got, self.corrections[n])):
                 return False
         return True
@@ -422,16 +411,13 @@ def correct_characteristic(
     # forward accumulation of stable-side parts
     acc: Dict[int, tuple] = {n_lo: zero}
     for n in range(n_lo + 1, n_hi + 1):
-        B = traj.matrix(n - 1, n)
-        prev = acc[n - 1]
-        moved = tuple(sum(B[i, j] * prev[j] for j in range(d)) for i in range(d))
+        moved = matvec(traj.transport(n - 1, n), acc[n - 1])
         acc[n] = tuple(m + s for m, s in zip(moved, jump_stable[n]))
     # backward accumulation of unstable parts
     uacc: Dict[int, tuple] = {n_hi: zero}
     for n in range(n_hi - 1, n_lo - 1, -1):
-        Binv = traj.inverse(n, n + 1)
         nxt = tuple(a + u for a, u in zip(uacc[n + 1], jump_unstable[n + 1]))
-        uacc[n] = tuple(sum(Binv[i, j] * nxt[j] for j in range(d)) for i in range(d))
+        uacc[n] = matvec(traj.transport(n + 1, n), nxt)
     for n in range(n_lo, n_hi + 1):
         corrections[n] = tuple(a - u for a, u in zip(acc[n], uacc[n]))
     return CorrectedCharacteristic(traj, xi, corrections, jumps)
@@ -439,10 +425,7 @@ def correct_characteristic(
 
 def _transported_split(traj: Trajectory, est: SplittingEstimate, n: int, vec: Sequence):
     d = len(vec)
-    if n >= 0:
-        M = _float_matrix(traj.matrix(0, n))
-    else:
-        M = np.linalg.inv(_float_matrix(traj.matrix(n, 0)))
+    M = _float_matrix(traj.transport(0, n))
     stable = _orth_columns(M @ est.stable)
     unstable = _orth_columns(M @ est.unstable)
     central = _orth_columns(M @ est.central) if est.central.shape[1] else np.zeros((d, 0))
@@ -495,9 +478,7 @@ def perron_heights(traj: Trajectory):
     thetas: Dict[int, float] = {}
     for n in range(0, traj.n_min - 1, -1):
         qn = traj.state(n).heights()
-        B = traj.matrix(n, 0)
-        d = len(qn)
-        back = tuple(sum(B[i, j] * qn[j] for j in range(d)) for i in range(d))
+        back = matvec(traj.transport(n, 0), qn)
         assert all(certified_sign(a - b) == 0 for a, b in zip(back, q0))
         thetas[n] = math.sqrt(sum(to_float(x) ** 2 for x in qn)) / norm0
     unit = [to_float(x) / norm0 for x in q0]
@@ -562,17 +543,13 @@ def omega_graph(traj: Trajectory, chi: CentralSequence, n: int, alpha: str) -> L
         i = st_n.pi.index(b)
         bps.append(bps[-1] + q[i])
         vals.append(vals[-1] + chi_n[i])
-    # subtract the exact mean
-    acc = None
-    for j in range(len(bps) - 1):
-        w = bps[j + 1] - bps[j]
-        term = w * (vals[j] + vals[j + 1]) / 2
-        acc = term if acc is None else acc + term
-    mean = acc / bps[-1]
-    vals = [v - mean for v in vals]
     q0 = traj.state(0).heights()
     scale = math.sqrt(sum(to_float(x) ** 2 for x in q0))
-    return LimitShapeGraph(alpha, n, bps, vals, list(word), scale)
+    graph = LimitShapeGraph(alpha, n, bps, vals, list(word), scale)
+    # subtract the exact mean
+    mean = graph.integral() / graph.total
+    graph.values = [v - mean for v in vals]
+    return graph
 
 
 @dataclass
@@ -607,7 +584,6 @@ def refinement_check(traj: Trajectory, chi: CentralSequence, n_prime: int, n: in
     qp = st_p.heights()
     chi_p = chi.vector(n_prime)
     dev1 = 0.0
-    fine_idx = 0
     for seg, beta in enumerate(coarse.letters):
         x0 = coarse.breakpoints[seg]
         x1 = coarse.breakpoints[seg + 1]
@@ -620,30 +596,14 @@ def refinement_check(traj: Trajectory, chi: CentralSequence, n_prime: int, n: in
             i = st_p.pi.index(b)
             xs.append(xs[-1] + qp[i])
             ys.append(ys[-1] + chi_p[i])
-        # mean of the expected profile
-        acc = None
-        for j in range(len(xs) - 1):
-            w = xs[j + 1] - xs[j]
-            term = w * (ys[j] + ys[j + 1]) / 2
-            acc = term if acc is None else acc + term
-        mean = acc / xs[-1]
+        mean = LimitShapeGraph(beta, n_prime, xs, ys, list(word), 1.0).integral() / xs[-1]
         # compare against the fine graph restricted to [x0, x1]
         assert certified_sign((x1 - x0) - xs[-1]) == 0
         # segment mean of the fine graph
-        seg_vals = []
-        for xx, yy in zip(xs, ys):
-            seg_vals.append((xx, yy - mean))
-        local_mean_acc = None
-        for j in range(len(xs) - 1):
-            w = xs[j + 1] - xs[j]
-            va = fine.value_at(x0 + xs[j])
-            vb = fine.value_at(x0 + xs[j + 1])
-            term = w * (va + vb) / 2
-            local_mean_acc = term if local_mean_acc is None else local_mean_acc + term
-        c_seg = local_mean_acc / xs[-1]
-        for xx, expected in seg_vals:
-            got = fine.value_at(x0 + xx) - c_seg
-            dev1 = max(dev1, abs(to_float(got - expected)))
+        got = [fine.value_at(x0 + xx) for xx in xs]
+        c_seg = LimitShapeGraph(beta, n_prime, xs, got, list(word), 1.0).integral() / xs[-1]
+        for g, yy in zip(got, ys):
+            dev1 = max(dev1, abs(to_float((g - c_seg) - (yy - mean))))
     return RefinementReport(dev0 == 0.0, dev1 == 0.0, dev0, dev1)
 
 

@@ -159,3 +159,11 @@ def test_cli_h_monotonicity_decided_exactly_on_deep_backward_run(tmp_path):
     report = json.loads((out / "verify.json").read_text())
     assert {"check": "h_strictly_decreasing_backward", "pass": True} in report["checks"]
     assert report["pass"] is True
+
+
+def test_cli_homology_on_deep_backward_run_uses_exact_inverses(tmp_path):
+    # float inversion of B(-300, 0) is singular here; the exact inverse is not
+    path = write_scenario(tmp_path, abc_deep_backward_scenario())
+    out = tmp_path / "out"
+    assert main(["--scenario", path, "--command", "homology", "--out-dir", str(out)]) == 0
+    assert (out / "homology.json").exists()

@@ -1,9 +1,12 @@
 """Smaller error-contract and cross-module consistency checks."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ietkz
 from ietkz.combinatorics import CombinatorialData, build_diagram
 from ietkz.errors import DegenerateGap, DiagramTooLarge, LevelMismatch
 from ietkz.induction import (
@@ -113,3 +116,26 @@ def test_precision_doubling_retry_on_uncertain_branch():
     # a cap below the needed precision still refuses to guess
     with pytest.raises(PrecisionExhausted):
         run(build(24), "forward", Steps(1), rebuild=build, max_bits=64)
+
+
+def _unused_imports(source: str):
+    """Names a module imports and never uses (``__future__`` excepted)."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_library_has_no_unused_imports():
+    package = Path(ietkz.__file__).parent
+    unused = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path.read_text()))
+    }
+    assert unused == {}

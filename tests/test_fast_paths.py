@@ -16,7 +16,7 @@ from oracles import (
 )
 
 from ietkz.birkhoff import dual_holder_profile
-from ietkz.combinatorics import CombinatorialData, all_irreducible, path_matrix
+from ietkz.combinatorics import CombinatorialData, all_irreducible, cocycle_step, elementary_matrix, path_matrix
 from ietkz.diophantine import restricted_operator_norm
 from ietkz.errors import HorizontalDegenerate, InsufficientTrajectory, InvalidLengths, NotSuspensionVector
 from ietkz.induction import (
@@ -34,7 +34,7 @@ from ietkz.induction import (
     run_window,
 )
 from ietkz.limitshape import FourierTestFunction
-from ietkz.numerics import Ball, Quadratic, exact_inverse, exact_log, identity_matrix, to_float
+from ietkz.numerics import Ball, Quadratic, exact_inverse, exact_log, identity_matrix, matvec, to_float
 from ietkz.scenario import sample_rational_lengths, sample_rational_suspension
 
 ROT2 = CombinatorialData.from_rows(["A", "B"], ["B", "A"])
@@ -214,6 +214,27 @@ def test_cocycle_store_equals_path_products_and_exact_inverse():
         for n in traj.levels():
             for m in range(traj.n_min, n + 1):
                 _check_store(traj, m, n)
+                # transport: B(m, n) going up, B(m, n)^-1 coming back down
+                assert (traj.transport(m, n) == traj.matrix(m, n)).all(), (m, n)
+                assert (traj.transport(n, m) == traj.inverse(m, n)).all(), (n, m)
+
+
+def test_transport_round_trip_keeps_vector_type():
+    rng = random.Random(4)
+    abc = abc_backward(60)
+    window = run_window(make_state(ROT2, (PHI, ONE), (ONE, ONE - PHI)), back=12, fwd=9)
+    for traj, vec in (
+        (abc, tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(3))),
+        (abc, abc.state(-17).heights()),
+        (window, (PHI, ONE - PHI)),
+        (window, (Quadratic(Fraction(-3, 7), 2, 5), Quadratic(0, Fraction(1, 4), 5))),
+    ):
+        kind = type(vec[0])
+        for m, n in ((0, traj.n_min), (traj.n_min, 0), (-5, traj.n_max), (traj.n_max, -5), (-3, -3)):
+            there = matvec(traj.transport(m, n), vec)
+            back = matvec(traj.transport(n, m), there)
+            assert back == tuple(vec), (m, n)
+            assert all(type(x) is kind for x in there + back), (m, n)
 
 
 def test_cocycle_store_between_appends_in_both_directions():
@@ -257,6 +278,22 @@ def test_cocycle_inverse_outside_window_raises():
             traj.inverse(m, n)
         with pytest.raises(InsufficientTrajectory):
             traj.matrix(m, n)
+    for m, n in ((-11, 0), (-3, 1), (-12, -11), (2, 2)):
+        for a, b in ((m, n), (n, m)):
+            with pytest.raises(InsufficientTrajectory):
+                traj.transport(a, b)
+
+
+def test_cocycle_step_on_a_vector_is_the_elementary_product():
+    rng = random.Random(9)
+    for pi in list(all_irreducible(4))[:6]:
+        traj = run(make_state(pi, sample_rational_lengths(pi, rng)), "forward", Steps(12))
+        for n in range(1, traj.n_max + 1):
+            a = traj.arrow_at(n)
+            v = np.array([Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(pi.d)], dtype=object)
+            want = elementary_matrix(a) @ v
+            cocycle_step(v, a)
+            assert (v == want).all()
 
 
 # ---------------------------------------------------------------------------
