@@ -45,8 +45,8 @@ chi = central_sequence_from_vector(traj, chi0, (min(levels), 2))
 out = Path(__file__).with_suffix("") .name + "_graphs"
 outdir = Path(__file__).parent / out
 outdir.mkdir(exist_ok=True)
-for n in levels:
-    g = omega_graph(traj, chi, n, "A")
+graphs = [omega_graph(traj, chi, n, "A") for n in levels]
+for n, g in zip(levels, graphs):
     path = outdir / f"graph_A_n{abs(n)}.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -59,9 +59,9 @@ for n_prime, n in ((levels[2], levels[1]), (levels[3], levels[2])):
     rep = refinement_check(traj, chi, n_prime, n, "A")
     print(f"  ({n_prime}, {n}): offsets exact={rep.constant_offsets_exact} copies exact={rep.copies_exact}")
 
-g0 = omega_graph(traj, chi, 0, "A")
+g0 = graphs[levels.index(0)]
 psi = FourierTestFunction.random(float(to_float(g0.total)), 0.5, 4, random.Random(5))
-rep = pair_test(traj, chi, "A", psi, levels)
+rep = pair_test(traj, graphs, psi)
 print("\npairings against one Hoelder test function:")
 for n, v in zip(rep.levels, rep.pairings):
     print(f"  level {n:4d}: {v:+.6f}")

@@ -300,16 +300,16 @@ def cmd_limit_shape(sc: Scenario) -> tuple:
     pair_reports = {}
     rng = sc.rng()
     for alpha in sc.pi.letters:
-        for n in levels:
-            g = ls.omega_graph(traj, chi, n, alpha)
+        graphs = [ls.omega_graph(traj, chi, n, alpha) for n in levels]
+        for n, g in zip(levels, graphs):
             tables[f"graph_{alpha}_n{abs(n)}"] = [
                 {"x": x, "y": y} for x, y in g.float_points()
             ]
-        g0 = ls.omega_graph(traj, chi, 0, alpha)
+        g0 = graphs[levels.index(0)]
         psi = ls.FourierTestFunction.random(
             float(to_float(g0.total)), sc.test_functions["eta"], sc.test_functions["modes"], rng
         )
-        rep = ls.pair_test(traj, chi, alpha, psi, levels, theta=theta)
+        rep = ls.pair_test(traj, graphs, psi, theta=theta)
         pair_reports[alpha] = {
             "levels": rep.levels,
             "pairings": rep.pairings,

@@ -26,7 +26,18 @@ from .induction import (
     accelerated_times,
 )
 from .limitshape import SplittingEstimate, _float_matrix, _orth_columns, splitting_estimate
-from .numerics import Ball, Quadratic, certified_sign, exact_log, matvec, scalar_abs, sum_norm, to_float
+from .numerics import (
+    Ball,
+    Quadratic,
+    certified_sign,
+    exact_log,
+    integer_lift,
+    matvec,
+    scalar_abs,
+    sum_norm,
+    to_float,
+    zsign,
+)
 
 KIND_A = "A"
 KIND_A_PRIME = "APrime"
@@ -56,12 +67,12 @@ def restricted_operator_norm(M: np.ndarray, w: Sequence):
     their maximum.
     """
     cols = np.asarray(M).T.tolist()
-    parts = _integer_weights(w)
+    parts = integer_lift(w)
     if parts is None or not all(type(x) is int for col in cols for x in col):
         return _restricted_norm_scalar(M, w)
     A, B, D = parts
     d = len(w)
-    signs = [_zsign(a, b, D) for a, b in zip(A, B)]
+    signs = [zsign(a, b, D) for a, b in zip(A, B)]
     best = None  # (Na, Nb, Sa, Sb, vertex): the norm is (Na + Nb sqrt D) / (Sa + Sb sqrt D)
     for i in range(d):
         if signs[i] == 0:
@@ -77,7 +88,7 @@ def restricted_operator_norm(M: np.ndarray, w: Sequence):
             for x, y in zip(cols[i], cols[j]):
                 a = Aj * x - Ai * y
                 b = Bj * x - Bi * y
-                s = _zsign(a, b, D)
+                s = zsign(a, b, D)
                 if s > 0:
                     Na += a
                     Nb += b
@@ -101,47 +112,13 @@ def restricted_operator_norm(M: np.ndarray, w: Sequence):
     return Fraction(Na, Sa)
 
 
-def _integer_weights(w: Sequence):
-    """(A, B, D) with w_k = (A_k + B_k sqrt(D)) / L for one common L, or None
-    unless every weight is int, Fraction or Quadratic over a single field."""
-    D = 0
-    ab = []
-    for x in w:
-        if isinstance(x, Quadratic):
-            if D and x.D != D:
-                return None
-            D = x.D
-            ab.append((x.a, x.b))
-        elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-            ab.append((Fraction(x), Fraction(0)))
-        else:
-            return None
-    L = math.lcm(*(y.denominator for pair in ab for y in pair))
-    return (
-        [a.numerator * (L // a.denominator) for a, _ in ab],
-        [b.numerator * (L // b.denominator) for _, b in ab],
-        D,
-    )
-
-
-def _zsign(a: int, b: int, D: int) -> int:
-    """Sign of a + b sqrt(D) for integers a, b and square-free D > 1 (any D when b = 0)."""
-    sa = (a > 0) - (a < 0)
-    if b == 0:
-        return sa
-    sb = 1 if b > 0 else -1
-    if sa == 0 or sa == sb:
-        return sb
-    return sa if a * a > b * b * D else sb
-
-
 def _zcross_sign(p: tuple, q: tuple, D: int) -> int:
     """Sign of Np/Sp - Nq/Sq for positive denominators: that of Np Sq - Nq Sp."""
     pa, pb, psa, psb = p[:4]
     qa, qb, qsa, qsb = q[:4]
     a = pa * qsa + pb * qsb * D - qa * psa - qb * psb * D
     b = pa * qsb + pb * qsa - qa * psb - qb * psa
-    return _zsign(a, b, D)
+    return zsign(a, b, D)
 
 
 def _restricted_norm_scalar(M: np.ndarray, w: Sequence):

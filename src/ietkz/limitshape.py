@@ -518,9 +518,9 @@ class LimitShapeGraph:
         acc = None
         for j in range(len(self.breakpoints) - 1):
             w = self.breakpoints[j + 1] - self.breakpoints[j]
-            term = w * (self.values[j] + self.values[j + 1]) / 2
+            term = w * (self.values[j] + self.values[j + 1])
             acc = term if acc is None else acc + term
-        return acc
+        return acc / 2  # trapezoid rule, halved once
 
 
 def omega_graph(traj: Trajectory, chi: CentralSequence, n: int, alpha: str) -> LimitShapeGraph:
@@ -665,25 +665,20 @@ class PairingReport:
 
 def pair_test(
     traj: Trajectory,
-    chi: CentralSequence,
-    alpha: str,
+    graphs: Sequence[LimitShapeGraph],
     psi: FourierTestFunction,
-    levels: Sequence[int],
     theta: Optional[float] = None,
 ) -> PairingReport:
-    """Pairings of the graphs against a fixed test function down the window.
+    """Pairings of one letter's graphs against a fixed test function down the window.
 
-    Reports successive differences and the fitted slope of log |difference|
-    against log ||B(n, 0)||; distributional convergence shows as a negative
-    slope.
+    ``graphs`` are omega graphs of traj at several levels.  Reports
+    successive differences and the fitted slope of log |difference| against
+    log ||B(n, 0)||; distributional convergence shows as a negative slope.
     """
-    levels = sorted(levels, reverse=True)  # towards -infinity
-    vals = []
-    norms = []
-    for n in levels:
-        g = omega_graph(traj, chi, n, alpha)
-        vals.append(pairing(g, psi))
-        norms.append(float(exact_log(traj.norm(n, 0))))
+    graphs = sorted(graphs, key=lambda g: g.level, reverse=True)  # towards -infinity
+    levels = [g.level for g in graphs]
+    vals = [pairing(g, psi) for g in graphs]
+    norms = [float(exact_log(traj.norm(n, 0))) for n in levels]
     # difference between levels (n, n') is controlled by the norm at n,
     # the level closer to zero
     diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]

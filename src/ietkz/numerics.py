@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ UNCERTAIN = None
 # quadratic numbers a + b*sqrt(D)
 
 
+@lru_cache(maxsize=64)
 def _is_squarefree(n: int) -> bool:
     if n < 2:
         return False
@@ -55,8 +57,10 @@ class Quadratic:
     D: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
         if not _is_squarefree(self.D):
             raise ValueError(f"D={self.D} must be square-free and > 1")
 
@@ -400,6 +404,46 @@ def certified_sign(x) -> Optional[int]:
     if isinstance(x, (int, Fraction)):
         return (x > 0) - (x < 0)
     raise TypeError(f"unsupported scalar type {type(x)!r}")
+
+
+def integer_lift(values: Sequence):
+    """(A, B, D) with values[k] = (A[k] + B[k] sqrt(D)) / L for one common L > 0.
+
+    A and B are lists of ints and D is 0 when no value is a Quadratic.
+    Returns None unless every value is int, Fraction or Quadratic over a
+    single field, so that order and sums can be decided on the integer
+    lattice: one value exceeds another exactly when ``zsign`` of the
+    difference of their (A, B) pairs is positive.
+    """
+    D = 0
+    ab = []
+    for x in values:
+        if isinstance(x, Quadratic):
+            if D and x.D != D:
+                return None
+            D = x.D
+            ab.append((x.a, x.b))
+        elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+            ab.append((Fraction(x), Fraction(0)))
+        else:
+            return None
+    L = math.lcm(*(y.denominator for pair in ab for y in pair))
+    return (
+        [a.numerator * (L // a.denominator) for a, _ in ab],
+        [b.numerator * (L // b.denominator) for _, b in ab],
+        D,
+    )
+
+
+def zsign(a: int, b: int, D: int) -> int:
+    """Sign of a + b sqrt(D) for integers a, b and square-free D > 1 (any D when b = 0)."""
+    sa = (a > 0) - (a < 0)
+    if b == 0:
+        return sa
+    sb = 1 if b > 0 else -1
+    if sa == 0 or sa == sb:
+        return sb
+    return sa if a * a > b * b * D else sb
 
 
 def scalar_abs(x):

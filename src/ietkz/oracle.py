@@ -1,12 +1,23 @@
 """Brute-force orbit simulations: the ground truth everything is checked against.
 
-All computations here iterate actual points of the interval with exact
-scalar arithmetic; nothing is derived from cocycle matrices, so agreement
-with the matrix machinery is a genuine cross-validation.
+All computations here iterate actual points of the interval; nothing is
+derived from cocycle matrices, so agreement with the matrix machinery is a
+genuine cross-validation.
+
+Orbits of exact data (int, Fraction, or Quadratic over one field) run on an
+integer lattice: the interval bounds, the translations, the point and the
+return bound are written over one common denominator L, as integers for
+rational data and as pairs (A, B) standing for (A + B sqrt(D)) / L for
+quadratic data.  Each step is then an exact integer lookup and an integer
+add, and a point on a bound belongs to the interval on its right, as under
+the scalar arithmetic.  The lift only rescales the map's own lengths, so the
+orbit is still that of the actual points.  Ball data keep the scalar loop.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -15,7 +26,7 @@ import numpy as np
 from .combinatorics import CombinatorialData
 from .errors import NoReturn, PrecisionExhausted, SingularOrbit
 from .induction import Trajectory
-from .numerics import certified_sign
+from .numerics import certified_sign, integer_lift, zsign
 
 
 class IEMap:
@@ -43,6 +54,7 @@ class IEMap:
             tpos = pi.top_pos(a)
             bpos = pi.bottom_pos(a)
             self.delta[a] = bots[bpos - 1] - tops[tpos - 1]
+        self._shifts = [self.delta[a] for a in pi.top]  # by top position
 
     @property
     def total(self):
@@ -57,6 +69,10 @@ class IEMap:
 
     def letter_of(self, x) -> str:
         """Letter of the right-open top interval containing x."""
+        return self.pi.top[self._top_position(x)]
+
+    def _top_position(self, x) -> int:
+        """0-based top position of the right-open interval containing x."""
         for i in range(self.pi.d):
             s = certified_sign(self._top_bounds[i + 1] - x)
             if s is None:
@@ -67,7 +83,7 @@ class IEMap:
                     raise PrecisionExhausted("cannot certify interval membership")
                 if lo < 0:
                     raise ValueError("point left of the interval")
-                return self.pi.top[i]
+                return i
         raise ValueError("point right of the interval")
 
     def bottom_letter_of(self, y) -> str:
@@ -81,6 +97,64 @@ class IEMap:
 
     def apply(self, x):
         return x + self.delta[self.letter_of(x)]
+
+    def itinerary(self, x, stop, depth_cap: int) -> List[str]:
+        """Top letters visited by the orbit of x until it first lands in [0, stop).
+
+        x itself is always visited, so a point already in [0, stop) has a
+        word of at least one letter.  Raises NoReturn after ``depth_cap``
+        steps, ValueError for a point outside [0, |I|), and, for Ball data
+        only, PrecisionExhausted when a lookup or return test is undecided.
+        """
+        lift = integer_lift([*self._top_bounds, *self._shifts, x, stop])
+        if lift is None:
+            return self._scalar_itinerary(x, stop, depth_cap)
+        A, B, D = lift
+        d = self.pi.d
+        top = self.pi.top
+        rational = not any(B)
+        points = A if rational else list(zip(A, B))
+        bounds, shifts, (X, S) = points[: d + 1], points[d + 1 : 2 * d + 1], points[2 * d + 1 :]
+        word = []
+        if rational:
+            for _ in range(depth_cap):
+                i = bisect_right(bounds, X) - 1
+                if not 0 <= i < d:
+                    raise _outside(i)
+                word.append(top[i])
+                X += shifts[i]
+                if X < S:
+                    return word
+            raise NoReturn(f"no return within {depth_cap} iterations")
+        for _ in range(depth_cap):
+            lo, hi = 0, d + 1  # bisect_right over the bounds by exact sign
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if zsign(X[0] - bounds[mid][0], X[1] - bounds[mid][1], D) < 0:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            i = lo - 1
+            if not 0 <= i < d:
+                raise _outside(i)
+            word.append(top[i])
+            X = (X[0] + shifts[i][0], X[1] + shifts[i][1])
+            if zsign(S[0] - X[0], S[1] - X[1], D) > 0:
+                return word
+        raise NoReturn(f"no return within {depth_cap} iterations")
+
+    def _scalar_itinerary(self, x, stop, depth_cap: int) -> List[str]:
+        word = []
+        for _ in range(depth_cap):
+            i = self._top_position(x)
+            word.append(self.pi.top[i])
+            x = x + self._shifts[i]
+            s = certified_sign(stop - x)
+            if s is None:
+                raise PrecisionExhausted("cannot certify a return test")
+            if s > 0:
+                return word
+        raise NoReturn(f"no return within {depth_cap} iterations")
 
     def apply_inverse(self, y):
         return y - self.delta[self.bottom_letter_of(y)]
@@ -99,6 +173,10 @@ class IEMap:
             if s == 0:
                 return True
         return False
+
+
+def _outside(position: int) -> ValueError:
+    return ValueError("point left of the interval" if position < 0 else "point right of the interval")
 
 
 def _maps_for(traj: Trajectory, n: int) -> IEMap:
@@ -121,21 +199,10 @@ def visit_counts(traj: Trajectory, n_prime: int, n: int, depth_cap: int = 10**6)
     counts = np.zeros((d, d), dtype=object)
     words: Dict[str, List[str]] = {}
     for alpha in inner.pi.letters:
-        x = inner.midpoint(alpha)
-        word = []
-        for it in range(depth_cap):
-            word.append(outer.letter_of(x))
-            x = outer.apply(x)
-            s = certified_sign(inner.total - x)
-            if s is None:
-                raise PrecisionExhausted("cannot certify a return test")
-            if s > 0:
-                break
-        else:
-            raise NoReturn(f"no return within {depth_cap} iterations")
+        word = outer.itinerary(inner.midpoint(alpha), inner.total, depth_cap)
         ai = inner.pi.index(alpha)
-        for beta in word:
-            counts[ai, outer.pi.index(beta)] += 1
+        for beta, c in Counter(word).items():
+            counts[ai, outer.pi.index(beta)] = c
         words[alpha] = word
     return counts, words
 

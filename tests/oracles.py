@@ -10,7 +10,9 @@ from typing import List, Sequence
 import numpy as np
 
 from ietkz.combinatorics import TOP
+from ietkz.errors import NoReturn, PrecisionExhausted
 from ietkz.numerics import Ball, certified_sign, scalar_abs, sqrt_enclosure, to_float
+from ietkz.oracle import IEMap
 
 
 def restricted_operator_norm_reference(M: np.ndarray, w: Sequence):
@@ -96,3 +98,37 @@ def quadratic_ball_reference(x, bits: int):
     """Ball.exact of a Quadratic through Ball arithmetic on Fractions."""
     r = sqrt_enclosure(x.D, bits + 8)
     return (Ball.exact(x.a, bits) + Ball.exact(x.b, bits) * r).with_bits(bits)
+
+
+def itinerary_reference(T: IEMap, x, stop, depth_cap: int) -> List[str]:
+    """The orbit in the data's own scalar arithmetic: each step looks the
+    letter up with letter_of and moves the point with apply."""
+    word = []
+    for _ in range(depth_cap):
+        word.append(T.letter_of(x))
+        x = T.apply(x)
+        s = certified_sign(stop - x)
+        if s is None:
+            raise PrecisionExhausted("cannot certify a return test")
+        if s > 0:
+            return word
+    raise NoReturn(f"no return within {depth_cap} iterations")
+
+
+def visit_counts_reference(traj, n_prime: int, n: int, depth_cap: int = 10**6):
+    """visit_counts with the scalar orbit loop and one count update per visit."""
+    if n_prime > n:
+        raise ValueError("need n_prime <= n")
+    st_in, st_out = traj.state(n), traj.state(n_prime)
+    inner = IEMap(st_in.pi, st_in.lam)
+    outer = IEMap(st_out.pi, st_out.lam)
+    d = inner.pi.d
+    counts = np.zeros((d, d), dtype=object)
+    words = {}
+    for alpha in inner.pi.letters:
+        word = itinerary_reference(outer, inner.midpoint(alpha), inner.total, depth_cap)
+        ai = inner.pi.index(alpha)
+        for beta in word:
+            counts[ai, outer.pi.index(beta)] += 1
+        words[alpha] = word
+    return counts, words

@@ -456,9 +456,10 @@ def test_acceptance_09_distributional_convergence(dual_roth_pool):
             traj, estimated_central_vector(traj, est), (min(levels), 2)
         )
         alpha = st.pi.letters[0]
-        g0 = omega_graph(traj, chi, 0, alpha)
+        graphs = [omega_graph(traj, chi, n, alpha) for n in levels]
+        g0 = graphs[levels.index(0)]
         psi = FourierTestFunction.random(float(to_float(g0.total)), 0.5, 4, rng)
-        rep = pair_test(traj, chi, alpha, psi, levels)
+        rep = pair_test(traj, graphs, psi)
         assert rep.slope is not None and rep.slope <= -0.05, rep.slope
         assert rep.differences[-1] < rep.differences[0]
         assert time.time() - t0 < 300.0

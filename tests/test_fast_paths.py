@@ -10,15 +10,25 @@ import pytest
 
 from oracles import (
     dual_holder_profile_reference,
+    itinerary_reference,
     quadratic_ball_reference,
     restricted_operator_norm_reference,
+    visit_counts_reference,
     zorich_stop_rescan,
 )
 
 from ietkz.birkhoff import dual_holder_profile
 from ietkz.combinatorics import CombinatorialData, all_irreducible, cocycle_step, elementary_matrix, path_matrix
 from ietkz.diophantine import restricted_operator_norm
-from ietkz.errors import HorizontalDegenerate, InsufficientTrajectory, InvalidLengths, NotSuspensionVector
+from ietkz.errors import (
+    ConnectionHit,
+    HorizontalDegenerate,
+    InsufficientTrajectory,
+    InvalidLengths,
+    NoReturn,
+    NotSuspensionVector,
+    PrecisionExhausted,
+)
 from ietkz.induction import (
     DUAL_COMPLETE,
     Steps,
@@ -34,11 +44,24 @@ from ietkz.induction import (
     run_window,
 )
 from ietkz.limitshape import FourierTestFunction
-from ietkz.numerics import Ball, Quadratic, exact_inverse, exact_log, identity_matrix, matvec, to_float
+from ietkz.numerics import (
+    Ball,
+    Quadratic,
+    exact_inverse,
+    exact_log,
+    certified_sign,
+    identity_matrix,
+    integer_lift,
+    matvec,
+    to_float,
+    zsign,
+)
+from ietkz.oracle import IEMap, visit_counts
 from ietkz.scenario import sample_rational_lengths, sample_rational_suspension
 
 ROT2 = CombinatorialData.from_rows(["A", "B"], ["B", "A"])
 ABC = CombinatorialData.from_rows(["A", "B", "C"], ["C", "B", "A"])
+REV4 = CombinatorialData.from_rows(list("ABCD"), list("DCBA"))
 PHI = Quadratic(Fraction(1, 2), Fraction(1, 2), 5)
 ONE = Quadratic(1, 0, 5)
 
@@ -131,6 +154,158 @@ def test_restricted_norm_overlapping_ball_candidates():
     got2 = restricted_operator_norm(M2, w)
     for c in (Fraction(9, 10), Fraction(1), Fraction(11, 10)):
         assert got2.contains(restricted_operator_norm_reference(M2, [Fraction(1), Fraction(1), c]))
+
+
+def test_zsign_is_the_exact_quadratic_sign():
+    # Pell solutions for D = 5 make a + b sqrt(5) cancel down to ~2e-10 of |a|
+    pairs = [(0, 0), (5, 0), (-5, 0), (0, 3), (0, -3), (9, -4), (-9, 4), (161, -72), (-161, 72),
+             (3, 2), (-3, -2), (51841, -23184), (-51841, 23184), (4, -2), (-4, 2), (3, -2)]
+    for D in (2, 3, 5, 7, 13):
+        for a, b in pairs:
+            assert zsign(a, b, D) == Quadratic(a, b, D).sign(), (a, b, D)
+    assert zsign(7, 0, 0) == 1 and zsign(-7, 0, 0) == -1 and zsign(0, 0, 0) == 0
+
+
+def test_integer_lift_over_one_common_denominator():
+    values = [Fraction(3, 4), 2, Fraction(-5, 6), 0]
+    A, B, D = integer_lift(values)
+    assert (A, B, D) == ([9, 24, -10, 0], [0, 0, 0, 0], 0)  # D absent: rational
+    values = [Quadratic(Fraction(1, 2), Fraction(-3, 10), 5), Fraction(7, 3), 4, Quadratic(9, -4, 5)]
+    A, B, D = integer_lift(values)
+    L = 30
+    assert D == 5 and all(type(x) is int for x in A + B)
+    for x, a, b in zip(values, A, B):
+        assert Quadratic(Fraction(a, L), Fraction(b, L), 5) == x
+    # order on the lattice is the order of the values, down to 9 - 4 sqrt(5) > 0
+    for i, x in enumerate(values):
+        for j, y in enumerate(values):
+            assert zsign(A[i] - A[j], B[i] - B[j], D) == certified_sign(x - y)
+    assert integer_lift([Quadratic(1, 1, 2), Quadratic(1, 1, 3)]) is None  # two fields
+    assert integer_lift([Fraction(1), Ball(1, 2)]) is None
+    assert integer_lift([True, 1]) is None
+
+
+# ---------------------------------------------------------------------------
+# integer orbit kernel of the brute-force oracle
+
+
+def _outcome(fn, *args, **kwargs):
+    """The result of fn, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (NoReturn, PrecisionExhausted, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_visit_counts(traj, n_prime, n, **kwargs):
+    got = _outcome(visit_counts, traj, n_prime, n, **kwargs)
+    want = _outcome(visit_counts_reference, traj, n_prime, n, **kwargs)
+    if isinstance(want[0], type):
+        assert got == want, (n_prime, n)
+        return
+    assert got[0].dtype == object and want[0].dtype == object
+    assert got[0].tolist() == want[0].tolist() and got[1] == want[1], (n_prime, n)
+    assert all(type(x) is int for x in got[0].ravel())
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_visit_counts_kernel_on_rational_forward_windows(d):
+    rng = random.Random(f"orbit-kernel-{d}")
+    pis = list(all_irreducible(d, top_identity_only=True))
+    windows = 0
+    while windows < 12:
+        pi = rng.choice(pis)
+        st = make_state(pi, sample_rational_lengths(pi, rng))
+        try:
+            traj = run(st, "forward", Steps(14))
+        except ConnectionHit:
+            continue
+        n_prime = rng.randint(1, traj.n_max - 1)
+        n = rng.randint(n_prime, traj.n_max)
+        while n > n_prime and traj.norm(n_prime, n) > 3000:  # keeps the reference loop affordable
+            n -= 1
+        _same_visit_counts(traj, n_prime, n)
+        windows += 1
+
+
+@pytest.mark.parametrize("D", [2, 3, 5, 7, 13])
+def test_visit_counts_kernel_on_quadratic_windows(D):
+    rng = random.Random(f"orbit-kernel-quadratic-{D}")
+    for _ in range(3):
+        lam = (Quadratic(rng.randint(1, 4), rng.randint(1, 3), D), Quadratic(1, 0, D))
+        traj = run(make_state(ROT2, lam), "forward", Steps(12))
+        _same_visit_counts(traj, 0, traj.n_max)
+        _same_visit_counts(traj, 3, 9)
+    lam = tuple(Quadratic(rng.randint(1, 9), Fraction(rng.randint(1, 9), 7), D) for _ in range(3))
+    traj = run(make_state(ABC, lam), "forward", Steps(10))
+    _same_visit_counts(traj, 0, traj.n_max)
+    _same_visit_counts(traj, 2, 8)
+
+
+def test_visit_counts_kernel_on_mixed_lengths():
+    lam = (3, Fraction(22, 7), Quadratic(1, 1, 2), Quadratic(Fraction(1, 3), Fraction(5, 4), 2))
+    traj = run(make_state(REV4, lam), "forward", Steps(12))
+    _same_visit_counts(traj, 0, traj.n_max)
+    _same_visit_counts(traj, 4, 11)
+    T = IEMap(REV4, lam)
+    for x in (0, Fraction(1, 2), Quadratic(1, 1, 2), T.total - Fraction(1, 10**6)):
+        assert T.itinerary(x, 1, 10**4) == itinerary_reference(T, x, 1, 10**4)
+
+
+def test_itinerary_lands_on_top_bounds_from_the_right():
+    # rotation by 1 on [0, 3): the orbit of 1 hits the bound 2 exactly, which
+    # belongs to the right-hand interval B, and then 0, which returns
+    for scale in (1, Fraction(2, 7), Quadratic(1, 1, 5)):
+        T = IEMap(ROT2, (2 * scale, scale))
+        x = 1 * scale
+        assert T.itinerary(x, x, 10) == ["A", "B"] == itinerary_reference(T, x, x, 10)
+        # a point exactly on the bound starts in B
+        assert T.itinerary(2 * scale, 2 * scale, 10) == ["B"] == itinerary_reference(T, 2 * scale, 2 * scale, 10)
+        # an orbit point equal to stop is not yet a return: [0, stop) is right-open
+        zero = scale - scale
+        assert T.itinerary(zero, scale, 10) == ["A", "A", "B"] == itinerary_reference(T, zero, scale, 10)
+    # a longer orbit through several bound hits: integer lengths, every point rational
+    lam = (Fraction(5), Fraction(3), Fraction(2))
+    T = IEMap(ABC, lam)
+    for x in range(10):
+        assert T.itinerary(x, Fraction(1), 100) == itinerary_reference(T, x, Fraction(1), 100)
+
+
+def test_itinerary_raises_like_the_scalar_loop():
+    for lam in ((Fraction(2), Fraction(1)), (PHI, ONE), (Ball.exact(PHI, 64), Ball.exact(ONE, 64))):
+        T = IEMap(ROT2, lam)
+        zero = lam[0] - lam[0]
+        for x in (zero - 1, T.total, T.total + 1):
+            got = _outcome(T.itinerary, x, T.total, 10)
+            assert got == _outcome(itinerary_reference, T, x, T.total, 10)
+            # a ball on the right end cannot be placed: it straddles |I|
+            expected = PrecisionExhausted if isinstance(x, Ball) and x is T.total else ValueError
+            assert got[0] is expected
+        # a bound below every orbit point: NoReturn at the cap
+        got = _outcome(T.itinerary, zero + lam[1] / 2, zero, 7)
+        assert got == (NoReturn, "no return within 7 iterations")
+        assert got == _outcome(itinerary_reference, T, zero + lam[1] / 2, zero, 7)
+
+
+def test_visit_counts_no_return_under_small_depth_cap():
+    st = make_state(REV4, (Fraction(104729), Fraction(75541), Fraction(42649), Fraction(29927)))
+    traj = run(st, "forward", Steps(10))
+    longest = max(sum(row) for row in traj.matrix(2, 9).tolist())
+    for cap in (1, 3, longest - 1):
+        _same_visit_counts(traj, 2, 9, depth_cap=cap)
+        with pytest.raises(NoReturn):
+            visit_counts(traj, 2, 9, depth_cap=cap)
+    _same_visit_counts(traj, 2, 9, depth_cap=longest)
+
+
+def test_visit_counts_on_a_ball_window_equals_the_scalar_loop():
+    bits = 128
+    traj = run(make_state(ROT2, (Ball.exact(PHI, bits), Ball.exact(ONE, bits))), "forward", Steps(8))
+    assert isinstance(traj.state(8).lam[0], Ball)
+    _same_visit_counts(traj, 0, 8)
+    _same_visit_counts(traj, 2, 7)
+    counts, _ = visit_counts(traj, 0, 8)
+    assert counts.tolist() == traj.matrix(0, 8).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -232,10 +232,11 @@ def test_pair_test_decay_on_central_sequence_rev3():
     times = accelerated_times(traj, DUAL_COMPLETE)
     levels = [t for t in times if t >= traj.n_min]
     alpha = "A"
-    g0 = omega_graph(traj, chi, 0, alpha)
+    graphs = [omega_graph(traj, chi, n, alpha) for n in levels]
+    g0 = graphs[levels.index(0)]
     rng = random.Random(11)
     psi = FourierTestFunction.random(float(to_float(g0.total)), 0.5, 4, rng)
-    rep = pair_test(traj, chi, alpha, psi, levels)
+    rep = pair_test(traj, graphs, psi)
     assert rep.slope is not None and rep.slope < -0.05
     # differences trend downward along the backward sequence
     assert rep.differences[-1] < rep.differences[0]
