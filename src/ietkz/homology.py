@@ -18,8 +18,10 @@ import numpy as np
 from .birkhoff import boundary_matrix, match_cycles
 from .combinatorics import singular_structure
 from .errors import (
+    ConsistencyFailure,
     InsufficientTrajectory,
     LevelMismatch,
+    NotMeanZero,
     RequiresMultipleSingularities,
     SplittingUntrusted,
     WindowMissing,
@@ -183,8 +185,8 @@ def _least_norm_boundary_solution(traj: Trajectory, n: int, upsilon0: Sequence) 
         else:
             target = [upsilon0[perm[i]] for i in range(s)]
     x = min_sup_norm_solution([list(row) for row in D], list(target))
-    if x is None:
-        raise ValueError("boundary system infeasible (upsilon must sum to zero)")
+    if x is None:  # the boundary maps onto the zero-sum hyperplane
+        raise ConsistencyFailure(f"boundary system infeasible at level {n} for a zero-sum target")
     return tuple(x)
 
 
@@ -223,7 +225,7 @@ def boundary_section(
     if s < 2:
         raise RequiresMultipleSingularities("the boundary section is trivial for s = 1")
     if certified_sign(sum(upsilon[1:], upsilon[0])) != 0:
-        raise ValueError("upsilon must have zero coordinate sum")
+        raise NotMeanZero("upsilon must have zero coordinate sum")
     if window is None:
         window = (traj.n_min, traj.n_max)
     if est is None:

@@ -1,12 +1,28 @@
-"""Tiny exact two-phase simplex over rationals.
+"""Exact lexicographic simplex on an integer-preserving tableau.
 
-Solves min c.x subject to A x = b, x >= 0 with Fraction arithmetic and
-Bland's rule, which terminates without any degeneracy heuristics.  The
-systems solved here have a few dozen variables at most.
+``solve_lp`` solves min c.x subject to A x = b, x >= 0, and
+``min_sup_norm_solution`` finds the lexicographically smallest sup-norm
+minimiser of A x = b.  Both run on one tableau of Python ints: each row is
+scaled to integers once, and a pivot p in row r replaces every other row by
+(p*T[i] - T[i][c]*T[r]) // D, an exact division by the previous pivot D
+(Edmonds; Bareiss).  The tableau stays D times the rational one, the
+objective row holds D times the reduced costs, ratio tests cross-multiply,
+and values are read as Fraction(T[r][-1], D) at the end.  Pivots follow
+Bland's rule (smallest entering index; on ratio ties, the smallest leaving
+basis index), which terminates without degeneracy heuristics.
+
+Phase 1 runs once.  At an optimal basis c.x = z* + sum_j d_j x_j with every
+reduced cost d_j >= 0, so deleting the nonbasic columns with d_j > 0 leaves
+exactly the optimal face, and the next objective continues from the current
+basis.  For the sup norm, y = x + t*1 and y + s = 2t turn -t <= x <= t into
+1 + 2n columns (t, y, s) and m + n rows; the stages minimise t, then y_1,
+y_2, ...  After the last one every x_j is fixed: the optimum is one point,
+so any correct solver returns the same rationals.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -15,159 +31,135 @@ UNBOUNDED = "unbounded"
 OPTIMAL = "optimal"
 
 
-def _pivot(T: List[List[Fraction]], basis: List[int], row: int, col: int) -> None:
-    piv = T[row][col]
-    T[row] = [x / piv for x in T[row]]
-    for r in range(len(T)):
-        if r != row and T[r][col] != 0:
-            factor = T[r][col]
-            T[r] = [a - factor * b for a, b in zip(T[r], T[row])]
-    basis[row] = col
+class _Tableau:
+    """D * [B^-1 A | B^-1 b] over the live columns, objective row apart."""
+
+    def __init__(self, rows: List[List[int]], basis: List[int], var: List[int]):
+        self.rows = rows  # constraint rows, right-hand side last
+        self.basis = basis  # column of each row's basic variable
+        self.var = var  # variable index of each column
+        self.obj = [0] * (len(var) + 1)  # D * reduced costs, then -D * value
+        self.D = 1
+
+    def pivot(self, r: int, c: int) -> None:
+        prow, D = self.rows[r], self.D
+        s = 1 if prow[c] > 0 else -1  # negate everything on a negative pivot
+        q = s * prow[c]
+
+        def update(row: List[int]) -> List[int]:
+            f = s * row[c]
+            return row if f == 0 and q == D else [(q * a - f * b) // D for a, b in zip(row, prow)]
+
+        self.rows = [[s * a for a in prow] if i == r else update(row) for i, row in enumerate(self.rows)]
+        self.obj = update(self.obj)
+        self.basis[r] = c
+        self.D = q
+
+    def minimise(self, cost: Sequence[int]) -> str:
+        """Bland's rule on the integer objective ``cost`` (indexed by variable)."""
+        self.obj = [self.D * cost[v] for v in self.var] + [0]
+        for row, b in zip(self.rows, self.basis):
+            if cost[self.var[b]]:
+                self.obj = [o - cost[self.var[b]] * a for o, a in zip(self.obj, row)]
+        while True:
+            c = next((j for j in range(len(self.var)) if self.obj[j] < 0), None)
+            if c is None:
+                return OPTIMAL
+            rows = sorted((r for r, row in enumerate(self.rows) if row[c] > 0), key=self.basis.__getitem__)
+            if not rows:
+                return UNBOUNDED
+            best = rows[0]
+            for r in rows[1:]:  # strictly smaller ratio row[-1] / row[c]
+                if self.rows[r][-1] * self.rows[best][c] < self.rows[best][-1] * self.rows[r][c]:
+                    best = r
+            self.pivot(best, c)
+
+    def positive_reduced_costs(self) -> set:
+        return {j for j, o in enumerate(self.obj[:-1]) if o > 0}
+
+    def restrict(self, drop_cols: set, drop_rows: Sequence[int] = ()) -> None:
+        keep = [j for j in range(len(self.var)) if j not in drop_cols]
+        live = [r for r in range(len(self.rows)) if r not in drop_rows]
+        self.rows = [[self.rows[r][j] for j in keep] + [self.rows[r][-1]] for r in live]
+        self.basis = [keep.index(self.basis[r]) for r in live]
+        self.var = [self.var[j] for j in keep]
+        self.obj = [self.obj[j] for j in keep] + [self.obj[-1]]
+
+    def numerators(self, nvars: int) -> List[int]:
+        """D times the value of each variable."""
+        num = [0] * nvars
+        for row, b in zip(self.rows, self.basis):
+            num[self.var[b]] = row[-1]
+        return num
 
 
-def _simplex_core(T: List[List[Fraction]], basis: List[int], ncols: int) -> str:
-    # objective row is T[-1]; Bland's rule on reduced costs
-    while True:
-        obj = T[-1]
-        col = next((j for j in range(ncols) if obj[j] < 0), None)
-        if col is None:
-            return OPTIMAL
-        best_row = None
-        best_ratio: Optional[Fraction] = None
-        for r in range(len(T) - 1):
-            if T[r][col] > 0:
-                ratio = T[r][-1] / T[r][col]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[r] > basis[best_row])
-                ):
-                    best_ratio = ratio
-                    best_row = r
-        if best_row is None:
-            return UNBOUNDED
-        _pivot(T, basis, best_row, col)
+def _feasible(A: Sequence[Sequence], b: Sequence, n: int) -> Optional[_Tableau]:
+    """Phase 1: a tableau of A x = b at a feasible basis, or None."""
+    rows = []
+    for Ai, bi in zip(A, b):
+        row = [Fraction(x) for x in Ai] + [Fraction(bi)]
+        scale = math.lcm(*(x.denominator for x in row)) * (-1 if row[-1] < 0 else 1)
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+    # a unit column starts its row's basis; other rows get an artificial
+    basis = []
+    for row in rows:
+        unit = (j for j in range(n) if row[j] == 1 and all(o[j] == 0 for o in rows if o is not row))
+        basis.append(next(unit, None))
+    art = [r for r in range(len(rows)) if basis[r] is None]
+    for k, r in enumerate(art):
+        basis[r] = n + k
+    T = [row[:n] + [int(basis[r] == n + k) for k in range(len(art))] + [row[-1]] for r, row in enumerate(rows)]
+    tab = _Tableau(T, basis, list(range(n + len(art))))
+    tab.minimise([0] * n + [1] * len(art))
+    if tab.obj[-1] != 0:
+        return None
+    # columns zero on the feasible set go; artificials pivot out or drop their rows
+    zero = tab.positive_reduced_costs()
+    redundant = []
+    for r in range(len(tab.rows)):
+        if tab.basis[r] >= n:
+            c = next((j for j in range(n) if j not in zero and tab.rows[r][j] != 0), None)
+            if c is None:
+                redundant.append(r)
+            else:
+                tab.pivot(r, c)
+    tab.restrict(zero | set(range(n, n + len(art))), redundant)
+    return tab
 
 
 def solve_lp(A: Sequence[Sequence], b: Sequence, c: Sequence) -> Tuple[str, Optional[List[Fraction]], Optional[Fraction]]:
     """Returns (status, x, value) for min c.x, A x = b, x >= 0."""
-    m = len(A)
     n = len(c)
-    A = [[Fraction(x) for x in row] for row in A]
-    b = [Fraction(x) for x in b]
-    c = [Fraction(x) for x in c]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-    # phase 1 tableau: columns = original vars + artificials + rhs
-    T = []
-    for i in range(m):
-        T.append(A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]])
-    obj = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        obj = [o - a for o, a in zip(obj, T[i])]
-    for j in range(n, n + m):
-        obj[j] = Fraction(0)
-    T.append(obj)
-    basis = [n + i for i in range(m)]
-    status = _simplex_core(T, basis, n + m)
-    if status != OPTIMAL or -T[-1][-1] != 0:
+    tab = _feasible(A, b, n)
+    if tab is None:
         return INFEASIBLE, None, None
-    # drive any artificial variables out of the basis
-    for r in range(m):
-        if basis[r] >= n:
-            col = next((j for j in range(n) if T[r][j] != 0), None)
-            if col is not None:
-                _pivot(T, basis, r, col)
-    # rebuild objective for phase 2 over the original variables
-    rows = [row[:n] + [row[-1]] for row in T[:-1]]
-    keep = [r for r in range(m) if basis[r] < n or any(rows[r][j] != 0 for j in range(n))]
-    rows = [rows[r] for r in keep]
-    basis = [basis[r] for r in keep]
-    obj = c + [Fraction(0)]
-    for r, bi in enumerate(basis):
-        if bi < n and obj[bi] != 0:
-            factor = obj[bi]
-            obj = [a - factor * bb for a, bb in zip(obj, rows[r])]
-    T2 = rows + [obj]
-    status = _simplex_core(T2, basis, n)
+    c = [Fraction(x) for x in c]
+    scale = math.lcm(*(x.denominator for x in c))
+    status = tab.minimise([x.numerator * (scale // x.denominator) for x in c])
     if status != OPTIMAL:
         return status, None, None
-    x = [Fraction(0)] * n
-    for r, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = T2[r][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return OPTIMAL, x, value
+    x = [Fraction(v, tab.D) for v in tab.numerators(n)]
+    return OPTIMAL, x, sum(ci * xi for ci, xi in zip(c, x))
 
 
 def min_sup_norm_solution(A: Sequence[Sequence], b: Sequence) -> Optional[List[Fraction]]:
-    """Lexicographically smallest sup-norm minimizer of A x = b (x free).
-
-    Solves min t with -t <= x_i <= t via the exact simplex, then fixes t
-    and minimizes the coordinates one at a time for determinism.
-    """
-    m = len(A)
-    if m == 0:
+    """Lexicographically smallest sup-norm minimizer of A x = b (x free)."""
+    if not A:
         return []
     n = len(A[0])
-
-    def build(rows_extra: List[Tuple[List[Fraction], Fraction]], cost: List[Fraction]):
-        # variables: t, xp (n), xm (n), s (n), s2 (n)
-        nv = 1 + 4 * n
-        bigA: List[List[Fraction]] = []
-        bigb: List[Fraction] = []
-        for i in range(m):
-            row = [Fraction(0)] * nv
-            for j in range(n):
-                row[1 + j] = Fraction(A[i][j])
-                row[1 + n + j] = -Fraction(A[i][j])
-            bigA.append(row)
-            bigb.append(Fraction(b[i]))
-        for j in range(n):
-            row = [Fraction(0)] * nv
-            row[0] = Fraction(-1)
-            row[1 + j] = Fraction(1)
-            row[1 + n + j] = Fraction(-1)
-            row[1 + 2 * n + j] = Fraction(1)
-            bigA.append(row)
-            bigb.append(Fraction(0))
-            row = [Fraction(0)] * nv
-            row[0] = Fraction(-1)
-            row[1 + j] = Fraction(-1)
-            row[1 + n + j] = Fraction(1)
-            row[1 + 3 * n + j] = Fraction(1)
-            bigA.append(row)
-            bigb.append(Fraction(0))
-        for extra, rhs in rows_extra:
-            bigA.append(list(extra))
-            bigb.append(rhs)
-        return bigA, bigb, cost
-
-    nv = 1 + 4 * n
-    cost_t = [Fraction(0)] * nv
-    cost_t[0] = Fraction(1)
-    bigA, bigb, cost = build([], cost_t)
-    status, x, t_star = solve_lp(bigA, bigb, cost)
-    if status != OPTIMAL:
+    nv = 1 + 2 * n
+    rows = []
+    for Ai in A:  # A y - (A 1) t = b
+        Ai = [Fraction(a) for a in Ai]
+        rows.append([-sum(Ai)] + Ai + [0] * n)
+    for j in range(n):  # y_j + s_j - 2t = 0
+        rows.append([-2] + [int(k == j) for k in range(n)] * 2)
+    tab = _feasible(rows, list(b) + [0] * n, nv)
+    if tab is None:
         return None
-    fixed: List[Tuple[List[Fraction], Fraction]] = []
-    row_t = [Fraction(0)] * nv
-    row_t[0] = Fraction(1)
-    fixed.append((row_t, t_star))
-    values: List[Fraction] = []
-    for j in range(n):
-        cost_j = [Fraction(0)] * nv
-        cost_j[1 + j] = Fraction(1)
-        cost_j[1 + n + j] = Fraction(-1)
-        bigA, bigb, cost = build(fixed, cost_j)
-        status, x, vj = solve_lp(bigA, bigb, cost)
-        if status != OPTIMAL:
-            return None
-        values.append(vj)
-        row_j = [Fraction(0)] * nv
-        row_j[1 + j] = Fraction(1)
-        row_j[1 + n + j] = Fraction(-1)
-        fixed.append((row_j, vj))
-    return values
+    for k in range(1 + n):  # t, then y_1, ..., y_n: all bounded below by 0
+        if k in tab.var:  # a deleted column is zero on the face already
+            tab.minimise([int(v == k) for v in range(nv)])
+            tab.restrict(tab.positive_reduced_costs())
+    num = tab.numerators(nv)
+    return [Fraction(num[1 + j] - num[0], tab.D) for j in range(n)]

@@ -5,7 +5,8 @@ tests require the fast path to return exactly what the reference returns.
 """
 
 import math
-from typing import List, Sequence
+from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from ietkz.combinatorics import TOP
 from ietkz.errors import NoReturn, PrecisionExhausted
 from ietkz.numerics import Ball, certified_sign, scalar_abs, sqrt_enclosure, to_float
 from ietkz.oracle import IEMap
+from ietkz.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 
 def restricted_operator_norm_reference(M: np.ndarray, w: Sequence):
@@ -132,3 +134,162 @@ def visit_counts_reference(traj, n_prime: int, n: int, depth_cap: int = 10**6):
             counts[ai, outer.pi.index(beta)] += 1
         words[alpha] = word
     return counts, words
+
+
+def _pivot_reference(T: List[List[Fraction]], basis: List[int], row: int, col: int) -> None:
+    piv = T[row][col]
+    T[row] = [x / piv for x in T[row]]
+    for r in range(len(T)):
+        if r != row and T[r][col] != 0:
+            factor = T[r][col]
+            T[r] = [a - factor * b for a, b in zip(T[r], T[row])]
+    basis[row] = col
+
+
+def _simplex_core_reference(T: List[List[Fraction]], basis: List[int], ncols: int) -> str:
+    # objective row is T[-1]; Bland's rule on reduced costs
+    while True:
+        obj = T[-1]
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        if col is None:
+            return OPTIMAL
+        best_row = None
+        best_ratio: Optional[Fraction] = None
+        for r in range(len(T) - 1):
+            if T[r][col] > 0:
+                ratio = T[r][-1] / T[r][col]
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[r] > basis[best_row])
+                ):
+                    best_ratio = ratio
+                    best_row = r
+        if best_row is None:
+            return UNBOUNDED
+        _pivot_reference(T, basis, best_row, col)
+
+
+def solve_lp_reference(A: Sequence[Sequence], b: Sequence, c: Sequence) -> Tuple[str, Optional[List[Fraction]], Optional[Fraction]]:
+    """Returns (status, x, value) for min c.x, A x = b, x >= 0: the two-phase
+    Fraction tableau, with every LP solved from scratch."""
+    m = len(A)
+    n = len(c)
+    A = [[Fraction(x) for x in row] for row in A]
+    b = [Fraction(x) for x in b]
+    c = [Fraction(x) for x in c]
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-x for x in A[i]]
+            b[i] = -b[i]
+    # phase 1 tableau: columns = original vars + artificials + rhs
+    T = []
+    for i in range(m):
+        T.append(A[i] + [Fraction(int(i == j)) for j in range(m)] + [b[i]])
+    obj = [Fraction(0)] * (n + m + 1)
+    for i in range(m):
+        obj = [o - a for o, a in zip(obj, T[i])]
+    for j in range(n, n + m):
+        obj[j] = Fraction(0)
+    T.append(obj)
+    basis = [n + i for i in range(m)]
+    status = _simplex_core_reference(T, basis, n + m)
+    if status != OPTIMAL or -T[-1][-1] != 0:
+        return INFEASIBLE, None, None
+    # drive any artificial variables out of the basis
+    for r in range(m):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if T[r][j] != 0), None)
+            if col is not None:
+                _pivot_reference(T, basis, r, col)
+    # rebuild objective for phase 2 over the original variables
+    rows = [row[:n] + [row[-1]] for row in T[:-1]]
+    keep = [r for r in range(m) if basis[r] < n or any(rows[r][j] != 0 for j in range(n))]
+    rows = [rows[r] for r in keep]
+    basis = [basis[r] for r in keep]
+    obj = c + [Fraction(0)]
+    for r, bi in enumerate(basis):
+        if bi < n and obj[bi] != 0:
+            factor = obj[bi]
+            obj = [a - factor * bb for a, bb in zip(obj, rows[r])]
+    T2 = rows + [obj]
+    status = _simplex_core_reference(T2, basis, n)
+    if status != OPTIMAL:
+        return status, None, None
+    x = [Fraction(0)] * n
+    for r, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = T2[r][-1]
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    return OPTIMAL, x, value
+
+
+def min_sup_norm_solution_reference(A: Sequence[Sequence], b: Sequence) -> Optional[List[Fraction]]:
+    """Lexicographically smallest sup-norm minimizer of A x = b (x free).
+
+    Solves min t with -t <= x_i <= t via the exact simplex, then fixes t
+    and minimizes the coordinates one at a time for determinism.
+    """
+    m = len(A)
+    if m == 0:
+        return []
+    n = len(A[0])
+
+    def build(rows_extra: List[Tuple[List[Fraction], Fraction]], cost: List[Fraction]):
+        # variables: t, xp (n), xm (n), s (n), s2 (n)
+        nv = 1 + 4 * n
+        bigA: List[List[Fraction]] = []
+        bigb: List[Fraction] = []
+        for i in range(m):
+            row = [Fraction(0)] * nv
+            for j in range(n):
+                row[1 + j] = Fraction(A[i][j])
+                row[1 + n + j] = -Fraction(A[i][j])
+            bigA.append(row)
+            bigb.append(Fraction(b[i]))
+        for j in range(n):
+            row = [Fraction(0)] * nv
+            row[0] = Fraction(-1)
+            row[1 + j] = Fraction(1)
+            row[1 + n + j] = Fraction(-1)
+            row[1 + 2 * n + j] = Fraction(1)
+            bigA.append(row)
+            bigb.append(Fraction(0))
+            row = [Fraction(0)] * nv
+            row[0] = Fraction(-1)
+            row[1 + j] = Fraction(-1)
+            row[1 + n + j] = Fraction(1)
+            row[1 + 3 * n + j] = Fraction(1)
+            bigA.append(row)
+            bigb.append(Fraction(0))
+        for extra, rhs in rows_extra:
+            bigA.append(list(extra))
+            bigb.append(rhs)
+        return bigA, bigb, cost
+
+    nv = 1 + 4 * n
+    cost_t = [Fraction(0)] * nv
+    cost_t[0] = Fraction(1)
+    bigA, bigb, cost = build([], cost_t)
+    status, x, t_star = solve_lp_reference(bigA, bigb, cost)
+    if status != OPTIMAL:
+        return None
+    fixed: List[Tuple[List[Fraction], Fraction]] = []
+    row_t = [Fraction(0)] * nv
+    row_t[0] = Fraction(1)
+    fixed.append((row_t, t_star))
+    values: List[Fraction] = []
+    for j in range(n):
+        cost_j = [Fraction(0)] * nv
+        cost_j[1 + j] = Fraction(1)
+        cost_j[1 + n + j] = Fraction(-1)
+        bigA, bigb, cost = build(fixed, cost_j)
+        status, x, vj = solve_lp_reference(bigA, bigb, cost)
+        if status != OPTIMAL:
+            return None
+        values.append(vj)
+        row_j = [Fraction(0)] * nv
+        row_j[1 + j] = Fraction(1)
+        row_j[1 + n + j] = Fraction(-1)
+        fixed.append((row_j, vj))
+    return values

@@ -11,14 +11,24 @@ import pytest
 from oracles import (
     dual_holder_profile_reference,
     itinerary_reference,
+    min_sup_norm_solution_reference,
     quadratic_ball_reference,
     restricted_operator_norm_reference,
+    solve_lp_reference,
     visit_counts_reference,
     zorich_stop_rescan,
 )
 
+from ietkz import homology
 from ietkz.birkhoff import dual_holder_profile
-from ietkz.combinatorics import CombinatorialData, all_irreducible, cocycle_step, elementary_matrix, path_matrix
+from ietkz.combinatorics import (
+    CombinatorialData,
+    all_irreducible,
+    cocycle_step,
+    elementary_matrix,
+    path_matrix,
+    singular_structure,
+)
 from ietkz.diophantine import restricted_operator_norm
 from ietkz.errors import (
     ConnectionHit,
@@ -58,6 +68,7 @@ from ietkz.numerics import (
 )
 from ietkz.oracle import IEMap, visit_counts
 from ietkz.scenario import sample_rational_lengths, sample_rational_suspension
+from ietkz.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, min_sup_norm_solution, solve_lp
 
 ROT2 = CombinatorialData.from_rows(["A", "B"], ["B", "A"])
 ABC = CombinatorialData.from_rows(["A", "B", "C"], ["C", "B", "A"])
@@ -521,3 +532,133 @@ def test_heights_cached_without_changing_equality():
     assert [f.name for f in dataclasses.fields(st)] == ["pi", "lam", "tau", "level"]
     with pytest.raises(InvalidLengths):
         make_state(ROT2, (PHI, ONE)).heights()
+
+
+# ---------------------------------------------------------------------------
+# integer lexicographic simplex
+
+
+def _boundary_systems(monkeypatch, cases):
+    """Every (A, b) that boundary_section hands to the simplex on the cases."""
+    systems = []
+
+    def record(A, b):
+        systems.append((A, b))
+        return min_sup_norm_solution(A, b)
+
+    monkeypatch.setattr(homology, "min_sup_norm_solution", record)
+    for traj, upsilon, direction in cases:
+        homology.boundary_section(traj, upsilon, direction=direction, allow_untrusted=True)
+    return systems
+
+
+def _abc_windows():
+    rational_tau = (Fraction(2) + Fraction(3049, 10007), Fraction(1, 11), Fraction(-2) + Fraction(5, 10007))
+    rational = make_state(ABC, (Fraction(104729), Fraction(75541), Fraction(42649)), rational_tau)
+    shift = Quadratic(0, Fraction(37, 9973), 5)
+    lam = (Fraction(123457, 7), Fraction(654321, 11), Fraction(222222, 13))
+    quadratic = make_state(ABC, lam, tuple(b + shift for b in canonical_tau(ABC)))
+    return [run_window(rational, 22, 22), run_window(quadratic, 300, 30)]
+
+
+def _rational_d4_windows(count=3):
+    rng = random.Random("boundary-d4")
+    pis = [pi for pi in all_irreducible(4) if singular_structure(pi).s >= 2]
+    windows = []
+    for _ in range(count):
+        pi = rng.choice(pis)
+        state = make_state(pi, sample_rational_lengths(pi, rng), sample_rational_suspension(pi, rng, den=104729))
+        windows.append(run_window(state, 40, rng.randint(20, 30)))
+    return windows
+
+
+def test_min_sup_norm_equals_fraction_tableau_on_boundary_systems(monkeypatch):
+    cases = []
+    for traj in _abc_windows():
+        for direction in ("positive", "negative"):
+            cases.append((traj, (Fraction(1), Fraction(-1)), direction))
+    for traj in _rational_d4_windows():
+        cases.append((traj, (Fraction(1), Fraction(-1), Fraction(0)), "positive"))
+        cases.append((traj, (Fraction(2, 3), Fraction(1, 5), Fraction(-13, 15)), "negative"))
+    systems = _boundary_systems(monkeypatch, cases)
+    assert len(systems) > 150
+    distinct = {(tuple(map(tuple, A)), tuple(b)) for A, b in systems}
+    assert len({len(A) for A, _ in distinct}) == 2  # s = 2 and s = 3
+    for A, b in distinct:
+        got = min_sup_norm_solution(A, b)
+        assert got is not None and got == min_sup_norm_solution_reference(A, b)
+        assert all(type(v) is Fraction for v in got)
+
+
+def _random_rational(rng, lo, hi):
+    return Fraction(rng.randint(lo, hi), rng.choice([1, 1, 2, 3, 5, 7]))
+
+
+def _random_system(rng):
+    """Small rational system, often with dependent, duplicate or zero rows."""
+    m = rng.randint(1, 3)
+    n = rng.randint(1, 4) if rng.random() < 0.97 else rng.randint(5, 6)
+    A = [[_random_rational(rng, -4, 4) if rng.random() < 0.75 else Fraction(0) for _ in range(n)] for _ in range(m)]
+    kind = rng.choice(["generic", "dependent", "duplicate", "negated", "zero"])
+    if kind == "dependent" and m > 1:  # the last row a combination of the others
+        coef = [_random_rational(rng, -2, 2) for _ in range(m - 1)]
+        A[-1] = [sum(c * A[i][j] for i, c in enumerate(coef)) for j in range(n)]
+    elif kind == "duplicate" and m > 1:
+        A[-1] = list(A[0])
+    elif kind == "negated" and m > 1:  # rows summing to zero, as boundary rows do
+        A[-1] = [-a for a in A[0]]
+    elif kind == "zero":
+        A[rng.randrange(m)] = [Fraction(0)] * n
+    if rng.random() < 0.6:  # consistent right-hand side, negative entries included
+        x = [_random_rational(rng, -3, 3) for _ in range(n)]
+        b = [sum(a * xj for a, xj in zip(row, x)) for row in A]
+    else:  # arbitrary, hence infeasible whenever it breaks a row dependency
+        b = [_random_rational(rng, -5, 5) for _ in range(m)]
+    return A, b
+
+
+def test_min_sup_norm_equals_fraction_tableau_on_random_systems():
+    rng = random.Random(2027)
+    infeasible = 0
+    for _ in range(320):
+        A, b = _random_system(rng)
+        got = min_sup_norm_solution(A, b)
+        assert got == min_sup_norm_solution_reference(A, b)
+        infeasible += got is None
+    assert 20 <= infeasible <= 200
+
+
+def test_min_sup_norm_degenerate_shapes():
+    for A, b in [
+        ([[0, 0]], [0]),
+        ([[0, 0]], [Fraction(1, 3)]),
+        ([[]], [0]),
+        ([[]], [1]),
+        ([[1, -1], [-1, 1]], [Fraction(5, 2), Fraction(-5, 2)]),
+        ([[1, 1, 1]], [0]),
+        ([[2, 0, 0], [0, 0, 0], [2, 0, 0]], [-3, 0, -3]),
+        ([[-1, 0, 1], [0, -1, 0], [1, 0, -1]], [0, -1, 0]),  # pivots an artificial out on a negative entry
+    ]:
+        assert min_sup_norm_solution(A, b) == min_sup_norm_solution_reference(A, b)
+    assert min_sup_norm_solution([], []) == min_sup_norm_solution_reference([], []) == []
+
+
+def test_solve_lp_equals_fraction_tableau():
+    rng = random.Random(2028)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(240):
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 5)
+        A = [[rng.randint(-3, 3) if rng.random() < 0.8 else 0 for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.25:
+            A[-1] = [-a for a in A[0]]
+        if rng.random() < 0.5:  # degenerate: a feasible point with many zero coordinates
+            x = [rng.choice([0, 0, 1, 2]) for _ in range(n)]
+            b = [sum(a * xj for a, xj in zip(row, x)) for row in A]
+        else:
+            b = [_random_rational(rng, -4, 4) for _ in range(m)]
+        c = [_random_rational(rng, -3, 3) for _ in range(n)]
+        got = solve_lp(A, b, c)
+        assert got == solve_lp_reference(A, b, c)
+        seen[got[0]] += 1
+    assert min(seen.values()) >= 30

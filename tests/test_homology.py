@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from ietkz import homology
 from ietkz.combinatorics import CombinatorialData
-from ietkz.errors import RequiresMultipleSingularities
+from ietkz.errors import ConsistencyFailure, NotMeanZero, RequiresMultipleSingularities
 from ietkz.homology import (
     BACKWARD,
     DUAL_FORWARD,
@@ -218,6 +219,21 @@ def test_boundary_section_requires_multiple_singularities():
     traj = golden_window()
     with pytest.raises(RequiresMultipleSingularities):
         boundary_section(traj, (Fraction(0),))
+
+
+def test_boundary_section_rejects_nonzero_sum_target():
+    traj = rev3_window(back=4, fwd=4)
+    with pytest.raises(NotMeanZero):
+        boundary_section(traj, (Fraction(1), Fraction(0)), allow_untrusted=True)
+
+
+def test_boundary_section_infeasible_system_is_a_consistency_failure(monkeypatch):
+    # the boundary maps onto the zero-sum hyperplane, so an infeasible
+    # system for a zero-sum target can only come from a bug
+    monkeypatch.setattr(homology, "min_sup_norm_solution", lambda A, b: None)
+    traj = rev3_window(back=4, fwd=4)
+    with pytest.raises(ConsistencyFailure):
+        boundary_section(traj, (Fraction(1), Fraction(-1)), allow_untrusted=True)
 
 
 def test_kz_diagnostics_golden():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import min_sup_norm_solution_reference
 
 from ietkz.combinatorics import BOTTOM, TOP, CombinatorialData, arrow, path_matrix
 from ietkz.diophantine import restricted_operator_norm
@@ -106,6 +107,8 @@ def test_min_sup_norm_solution_is_optimal_and_lexicographic():
         )
         assert ref.status == 0
         assert float(got) == pytest.approx(ref.fun, abs=1e-8)
+        # the lexicographic tie-break: the exact optimum is one point
+        assert x == min_sup_norm_solution_reference(A, b)
 
 
 def test_unimodular_inverse_round_trip_on_random_paths():
