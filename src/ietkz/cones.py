@@ -17,7 +17,7 @@ import numpy as np
 
 from .combinatorics import BOTTOM, TOP, CombinatorialData, arrow, cocycle_step, omega_matrix, rauzy_move
 from .errors import NoStandardVertex, SubspaceMismatch
-from .numerics import exact_rank, exact_rank_nullspace, in_span, matvec, snap_primitive
+from .numerics import exact_inverse, exact_rank, exact_rank_nullspace, in_span, matvec, snap_primitive
 
 
 def subspace_basis(pi: CombinatorialData) -> List[np.ndarray]:
@@ -40,8 +40,6 @@ def _double_description(A: np.ndarray) -> List[np.ndarray]:
     inserts the remaining halfspaces one at a time, combining adjacent
     positive/negative rays.  Adjacency is the standard rank test.
     """
-    from .numerics import exact_inverse
-
     A = np.array(A, dtype=object)
     nrows, m = A.shape
     base: Optional[List[int]] = None
@@ -91,8 +89,6 @@ def _adjacent(A: np.ndarray, processed: List[int], r1, r2, m: int) -> bool:
         if sum(A[i, k] * r1[k] for k in range(m)) == 0
         and sum(A[i, k] * r2[k] for k in range(m)) == 0
     ]
-    if not tight:
-        return m <= 2
     return exact_rank(A[tight, :]) >= m - 2
 
 
@@ -128,9 +124,7 @@ def _is_extremal(pi: CombinatorialData, basis: List[np.ndarray], ray: np.ndarray
     d = pi.d
     zeros = [i for i in range(d) if ray[i] == 0]
     V = np.stack(basis, axis=1)
-    sub = V[zeros, :] if zeros else np.zeros((0, V.shape[1]), dtype=object)
-    m = V.shape[1]
-    return (m - (exact_rank(sub) if zeros else 0)) == 1
+    return V.shape[1] - exact_rank(V[zeros, :]) == 1
 
 
 def brute_force_cone_rays(pi: CombinatorialData) -> List[np.ndarray]:
@@ -144,8 +138,7 @@ def brute_force_cone_rays(pi: CombinatorialData) -> List[np.ndarray]:
     found = {}
     for r in range(d + 1):
         for zeros in combinations(range(d), r):
-            sub = V[list(zeros), :] if zeros else np.zeros((0, m), dtype=object)
-            rank, null, _ = exact_rank_nullspace(sub) if zeros else (0, [np.eye(m, dtype=object)[:, k] for k in range(m)], [])
+            rank, null, _ = exact_rank_nullspace(V[list(zeros), :])
             if m - rank != 1:
                 continue
             y = null[0]

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .induction import Trajectory, visit_words
 from .limitshape import (
+    SNAP_DENOMINATOR,
     LimitShapeGraph,
     SplittingEstimate,
     fit_slope,
@@ -38,7 +39,6 @@ from .simplex import min_sup_norm_solution
 
 BACKWARD = "Backward"
 DUAL_FORWARD = "DualForward"
-SNAP_DENOMINATOR = 10**12
 
 
 def substitution_words(traj: Trajectory, n: int, direction: str) -> Dict[str, List[str]]:

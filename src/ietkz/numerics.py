@@ -11,6 +11,10 @@ Three interchangeable scalar backends are supported:
 Every branch decision of the induction engine goes through
 :func:`certified_sign`, which never guesses: on a ball that straddles zero
 it returns ``None`` (uncertain) so the caller can retry at higher precision.
+
+Exact rank, nullspace, solve, inverse and det of rational matrices run on
+one fraction-free integer elimination, whose :func:`bareiss_pivot` the
+simplex tableau pivots with too; ``Fraction`` values are built at the end.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -544,7 +548,7 @@ def decimal_string(x, digits: int = 30) -> str:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fraction (numpy object arrays)
+# exact linear algebra on one fraction-free integer kernel (numpy object arrays)
 
 
 def mat(rows) -> np.ndarray:
@@ -558,36 +562,62 @@ def identity_matrix(d: int) -> np.ndarray:
     return m
 
 
-def _echelon(M: np.ndarray):
-    """Row echelon form over Fraction; returns (R, pivots)."""
-    R = np.array([[Fraction(x) for x in row] for row in M], dtype=object)
-    rows, cols = R.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if R[i, c] != 0:
-                pr = i
-                break
+def bareiss_pivot(rows: List[List[int]], r: int, c: int, D: int) -> Tuple[List[List[int]], int]:
+    """One fraction-free pivot on rows[r][c] (Edmonds; Bareiss 1968).
+
+    The integer rows are D > 0 times a rational tableau.  Every other row
+    becomes (p*row - row[c]*prow) // D, an exact division, and the pivot row
+    is negated on a negative pivot so that the new D = |p| stays positive.
+    Returns the new rows (unchanged rows are shared) and D.
+    """
+    prow = rows[r] if rows[r][c] > 0 else [-a for a in rows[r]]
+    p = prow[c]
+    out = []
+    for i, row in enumerate(rows):
+        f = row[c]
+        out.append(prow if i == r else row if f == 0 and p == D else [(p * a - f * b) // D for a, b in zip(row, prow)])
+    return out, p
+
+
+def _eliminate(M: np.ndarray):
+    """Fraction-free Gauss-Jordan elimination of a rational matrix.
+
+    Each row is scaled to integers once; columns go left to right, each
+    pivoting on the first row not pivoted yet with a nonzero entry.  Returns
+    (rows, pivots, D, den): the integer rows are D times the reduced row
+    echelon form, row i pivoting on column pivots[i], and D / den is the
+    determinant when pivots are 0, 1, ..., len(M) - 1.
+    """
+    M = np.asarray(M, dtype=object)
+    rows, den = [], 1
+    for row in M:
+        row = [Fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        den *= scale
+    pivots, D = [], 1
+    for c in range(M.shape[1]):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if pr is None:
             continue
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        piv = R[r, c]
-        R[r, :] = [x / piv for x in R[r, :]]
-        for i in range(rows):
-            if i != r and R[i, c] != 0:
-                R[i, :] = [a - R[i, c] * b for a, b in zip(R[i, :], R[r, :])]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        if (pr != r) != (rows[r][c] < 0):  # a row swap or a negated pivot flips the sign
+            den = -den
+        rows, D = bareiss_pivot(rows, r, c, D)
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
+    return rows, pivots, D, den
+
+
+def _echelon(M: np.ndarray):
+    """Reduced row echelon form over Fraction; returns (R, pivots)."""
+    rows, pivots, D, _ = _eliminate(M)
+    R = np.array([[Fraction(a, D) for a in row] for row in rows], dtype=object)
+    return R.reshape(len(rows), np.shape(M)[1]), pivots
 
 
 def exact_rank(M: np.ndarray) -> int:
-    return len(_echelon(M)[1])
+    return len(_eliminate(M)[1])
 
 
 def exact_rank_nullspace(M: np.ndarray):
@@ -642,27 +672,8 @@ def exact_inverse(M: np.ndarray) -> np.ndarray:
 
 
 def exact_det(M: np.ndarray) -> Fraction:
-    R = np.array([[Fraction(x) for x in row] for row in M], dtype=object)
-    d = R.shape[0]
-    det = Fraction(1)
-    for c in range(d):
-        pr = None
-        for i in range(c, d):
-            if R[i, c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            R[[c, pr]] = R[[pr, c]]
-            det = -det
-        det *= R[c, c]
-        inv = 1 / R[c, c]
-        for i in range(c + 1, d):
-            if R[i, c] != 0:
-                factor = R[i, c] * inv
-                R[i, :] = [a - factor * b for a, b in zip(R[i, :], R[c, :])]
-    return det
+    _, pivots, D, den = _eliminate(M)
+    return Fraction(D, den) if pivots == list(range(len(M))) else Fraction(0)
 
 
 def in_span(basis, v) -> bool:

@@ -5,9 +5,11 @@
 minimiser of A x = b.  Both run on one tableau of Python ints: each row is
 scaled to integers once, and a pivot p in row r replaces every other row by
 (p*T[i] - T[i][c]*T[r]) // D, an exact division by the previous pivot D
-(Edmonds; Bareiss).  The tableau stays D times the rational one, the
-objective row holds D times the reduced costs, ratio tests cross-multiply,
-and values are read as Fraction(T[r][-1], D) at the end.  Pivots follow
+(Edmonds; Bareiss).  That update is ``numerics.bareiss_pivot``, the one
+that exact rank, nullspace, solve, inverse and det run on too.  The tableau
+stays D times the rational one, the objective row holds D times the reduced
+costs, ratio tests cross-multiply, and values are read as
+Fraction(T[r][-1], D) at the end.  Pivots follow
 Bland's rule (smallest entering index; on ratio ties, the smallest leaving
 basis index), which terminates without degeneracy heuristics.
 
@@ -26,6 +28,8 @@ import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from .numerics import bareiss_pivot
+
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 OPTIMAL = "optimal"
@@ -42,18 +46,9 @@ class _Tableau:
         self.D = 1
 
     def pivot(self, r: int, c: int) -> None:
-        prow, D = self.rows[r], self.D
-        s = 1 if prow[c] > 0 else -1  # negate everything on a negative pivot
-        q = s * prow[c]
-
-        def update(row: List[int]) -> List[int]:
-            f = s * row[c]
-            return row if f == 0 and q == D else [(q * a - f * b) // D for a, b in zip(row, prow)]
-
-        self.rows = [[s * a for a in prow] if i == r else update(row) for i, row in enumerate(self.rows)]
-        self.obj = update(self.obj)
+        rows, self.D = bareiss_pivot(self.rows + [self.obj], r, c, self.D)
+        self.rows, self.obj = rows[:-1], rows[-1]
         self.basis[r] = c
-        self.D = q
 
     def minimise(self, cost: Sequence[int]) -> str:
         """Bland's rule on the integer objective ``cost`` (indexed by variable)."""

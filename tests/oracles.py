@@ -136,6 +136,58 @@ def visit_counts_reference(traj, n_prime: int, n: int, depth_cap: int = 10**6):
     return counts, words
 
 
+def echelon_reference(M: np.ndarray):
+    """Row echelon form over Fraction; returns (R, pivots)."""
+    R = np.array([[Fraction(x) for x in row] for row in M], dtype=object)
+    rows, cols = R.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = None
+        for i in range(r, rows):
+            if R[i, c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+        piv = R[r, c]
+        R[r, :] = [x / piv for x in R[r, :]]
+        for i in range(rows):
+            if i != r and R[i, c] != 0:
+                R[i, :] = [a - R[i, c] * b for a, b in zip(R[i, :], R[r, :])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return R, pivots
+
+
+def exact_det_reference(M: np.ndarray) -> Fraction:
+    R = np.array([[Fraction(x) for x in row] for row in M], dtype=object)
+    d = R.shape[0]
+    det = Fraction(1)
+    for c in range(d):
+        pr = None
+        for i in range(c, d):
+            if R[i, c] != 0:
+                pr = i
+                break
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            R[[c, pr]] = R[[pr, c]]
+            det = -det
+        det *= R[c, c]
+        inv = 1 / R[c, c]
+        for i in range(c + 1, d):
+            if R[i, c] != 0:
+                factor = R[i, c] * inv
+                R[i, :] = [a - factor * b for a, b in zip(R[i, :], R[c, :])]
+    return det
+
+
 def _pivot_reference(T: List[List[Fraction]], basis: List[int], row: int, col: int) -> None:
     piv = T[row][col]
     T[row] = [x / piv for x in T[row]]

@@ -10,6 +10,8 @@ import pytest
 
 from oracles import (
     dual_holder_profile_reference,
+    echelon_reference,
+    exact_det_reference,
     itinerary_reference,
     min_sup_norm_solution_reference,
     quadratic_ball_reference,
@@ -19,13 +21,14 @@ from oracles import (
     zorich_stop_rescan,
 )
 
-from ietkz import homology
+from ietkz import homology, numerics
 from ietkz.birkhoff import dual_holder_profile
 from ietkz.combinatorics import (
     CombinatorialData,
     all_irreducible,
     cocycle_step,
     elementary_matrix,
+    omega_matrix,
     path_matrix,
     singular_structure,
 )
@@ -57,11 +60,16 @@ from ietkz.limitshape import FourierTestFunction
 from ietkz.numerics import (
     Ball,
     Quadratic,
+    exact_det,
     exact_inverse,
     exact_log,
+    exact_rank,
+    exact_rank_nullspace,
+    exact_solve,
     certified_sign,
     identity_matrix,
     integer_lift,
+    mat,
     matvec,
     to_float,
     zsign,
@@ -662,3 +670,100 @@ def test_solve_lp_equals_fraction_tableau():
         assert got == solve_lp_reference(A, b, c)
         seen[got[0]] += 1
     assert min(seen.values()) >= 30
+
+
+# ---------------------------------------------------------------------------
+# one fraction-free elimination kernel
+
+
+def _exact_linear_algebra(M, b):
+    """Rank, nullspace and column basis of M, one solution of M x = b (or
+    None), and for a square M its inverse (or the error it raises)."""
+    rank, null, col = exact_rank_nullspace(M)
+    x = exact_solve(M, b)
+    out = [rank, [list(v) for v in null], [list(v) for v in col], x if x is None else list(x)]
+    if M.shape[0] == M.shape[1]:
+        try:
+            out.append([list(row) for row in exact_inverse(M)])
+        except ZeroDivisionError as exc:
+            out.append((ZeroDivisionError, str(exc)))
+    return out
+
+
+def _same_as_reference(monkeypatch, M, b):
+    """The kernel's results on (M, b) equal the Fraction elimination's."""
+    got = _exact_linear_algebra(M, b)
+    with monkeypatch.context() as mp:
+        mp.setattr(numerics, "_echelon", echelon_reference)
+        want = _exact_linear_algebra(M, b)
+    assert got == want, M
+    R, pivots = numerics._echelon(M)
+    R0, pivots0 = echelon_reference(M)
+    assert pivots == pivots0 and R.shape == R0.shape and R.tolist() == R0.tolist(), M
+    assert exact_rank(M) == len(pivots0)
+    assert all(type(v) is Fraction for v in R.ravel())
+    if M.shape[0] == M.shape[1]:
+        det = exact_det(M)
+        assert type(det) is Fraction and det == exact_det_reference(M), M
+    return got
+
+
+def _random_matrix(rng):
+    """Small rational matrix with mixed denominators: 1x1, wide, tall or
+    square, often rank-deficient, with a duplicate or zero row, or a
+    negative first pivot."""
+    shape = rng.choice(["1x1", "wide", "tall", "square", "square"])
+    if shape == "1x1":
+        m = n = 1
+    elif shape == "wide":
+        m = rng.randint(1, 4)
+        n = rng.randint(m + 1, 6)
+    elif shape == "tall":
+        n = rng.randint(1, 4)
+        m = rng.randint(n + 1, 6)
+    else:
+        m = n = rng.randint(2, 5)
+    M = [[_random_rational(rng, -5, 5) if rng.random() < 0.75 else Fraction(0) for _ in range(n)] for _ in range(m)]
+    kind = rng.choice(["generic", "dependent", "duplicate", "zero", "negative"])
+    if kind == "dependent" and m > 1:  # the last row a combination of the others
+        coef = [_random_rational(rng, -2, 2) for _ in range(m - 1)]
+        M[-1] = [sum(c * M[i][j] for i, c in enumerate(coef)) for j in range(n)]
+    elif kind == "duplicate" and m > 1:
+        M[-1] = list(M[rng.randrange(m - 1)])
+    elif kind == "zero":
+        M[rng.randrange(m)] = [Fraction(0)] * n
+    elif kind == "negative":
+        M[0][0] = -abs(M[0][0]) or Fraction(-3, 2)
+    return mat(M)
+
+
+def test_elimination_kernel_equals_fraction_elimination_on_random_matrices(monkeypatch):
+    rng = random.Random(2029)
+    inconsistent = singular = regular = 0
+    for _ in range(400):
+        M = _random_matrix(rng)
+        m, n = M.shape
+        if rng.random() < 0.5:  # consistent right-hand side
+            x = [_random_rational(rng, -3, 3) for _ in range(n)]
+            b = [sum(M[i, j] * x[j] for j in range(n)) for i in range(m)]
+        else:
+            b = [_random_rational(rng, -4, 4) for _ in range(m)]
+        got = _same_as_reference(monkeypatch, M, b)
+        inconsistent += got[3] is None
+        if m == n:
+            singular += isinstance(got[4], tuple)
+            regular += not isinstance(got[4], tuple)
+    assert min(inconsistent, singular, regular) >= 30
+
+
+def test_elimination_kernel_equals_fraction_elimination_on_every_omega(monkeypatch):
+    """Every labelled pi for d <= 4, and for d = 5 every pi up to relabelling."""
+    pis = [pi for d in (2, 3, 4) for pi in all_irreducible(d)] + list(all_irreducible(5, top_identity_only=True))
+    assert len(pis) == 2 + 18 + 312 + 71
+    for k, pi in enumerate(pis):
+        om = omega_matrix(pi)
+        if k % 2:  # consistent right-hand side
+            b = list(matvec(om, [Fraction(j + 1, 2) for j in range(pi.d)]))
+        else:
+            b = [int(j == 0) for j in range(pi.d)]
+        _same_as_reference(monkeypatch, om, b)

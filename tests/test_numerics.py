@@ -12,6 +12,7 @@ from ietkz.numerics import (
     decimal_string,
     exact_det,
     exact_inverse,
+    exact_rank,
     exact_rank_nullspace,
     exact_solve,
     in_span,
@@ -128,6 +129,14 @@ def test_rank_nullspace_examples():
     assert rank == 2 and len(null) == 1 and len(col) == 2
     v = null[0]
     assert all(sum(om[i, j] * v[j] for j in range(3)) == 0 for i in range(3))
+
+
+def test_rank_nullspace_of_a_matrix_without_rows():
+    empty = np.zeros((0, 3), dtype=object)
+    assert exact_rank(empty) == 0
+    rank, null, col = exact_rank_nullspace(empty)
+    assert rank == 0 and col == []
+    assert [list(v) for v in null] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_exact_solve_and_inverse():
