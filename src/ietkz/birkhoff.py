@@ -15,9 +15,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .combinatorics import TOP, CombinatorialData, singular_structure
+from .combinatorics import CombinatorialData, singular_structure
 from .errors import WindowMissing
-from .induction import InductionState, Trajectory, visit_words
+from .induction import InductionState, Trajectory, visit_words, word_codes
 from .numerics import certified_sign, matvec, to_float
 from .oracle import IEMap
 
@@ -341,21 +341,16 @@ def dual_holder_profile(
     as vectorized float arrays (the count grows like the window norm, so
     exact arithmetic would be pointless here and floats are honest).
 
-    Only the word of ``alpha_star`` is grown, as one numpy array of letter
-    codes (the canonical letter index, the same at every level): each
-    backward arrow doubles its loser with ``np.repeat`` and writes the
-    replacement pair into the two copies.
+    The word of ``alpha_star`` at each level is its visit word from
+    ``word_codes``, an array of letter codes (the canonical letter index,
+    the same at every level).
     """
     st0 = traj.state(0)
     d = st0.d
+    a_idx = st0.pi.index(alpha_star)
     out = []
-    word = np.array([st0.pi.index(alpha_star)], dtype=np.int8)  # d < 128 letters
-    level_set = sorted(set(int(n) for n in levels), reverse=True)
-    k = 0
-    for n in level_set:
-        while k > n:
-            word = _substitute(word, traj.arrow_at(k))
-            k -= 1
+    for n in sorted(set(int(n) for n in levels), reverse=True):
+        word = word_codes(traj, n, 0)[a_idx]
         st_n = traj.state(n)
         qf = np.array([to_float(x) for x in st_n.heights()], dtype=float)
         steps = qf[word]
@@ -376,17 +371,6 @@ def dual_holder_profile(
         norm = traj.norm(n, 0)
         out.append({"n": n, "sup": sup, "log_norm": math.log(norm)})
     return out
-
-
-def _substitute(word: np.ndarray, a) -> np.ndarray:
-    """One backward substitution step on an int-coded word: the loser
-    becomes (loser, winner) for a top arrow, (winner, loser) for a bottom one."""
-    loser = a.source.index(a.loser)
-    hit = word == loser
-    grown = np.repeat(word, 1 + hit)
-    first = np.flatnonzero(hit) + np.arange(np.count_nonzero(hit))
-    grown[first + 1 if a.kind == TOP else first] = a.source.index(a.winner)
-    return grown
 
 
 def sample_gamma_vector(vec: PiecewiseConstantVector, state: InductionState, count: int = 2) -> SampledPiecewiseFunction:

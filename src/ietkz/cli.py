@@ -1,9 +1,19 @@
 """Scenario-driven command line: runs one command, emits JSON/CSV reports.
 
-Exit codes: 0 pass, 1 invariant violation, 2 insufficient data,
-3 precision exhausted, 4 input error.  Outputs carry decimal strings for
-all scalars and a stable field order; the only nondeterministic field is
-the timestamp.
+Exit codes, each library error printed as one line on stderr:
+
+- 0 pass, or a documented halt (ConnectionHit, HorizontalDegenerate)
+  written to the report;
+- 1 invariant violation: a failed ``verify`` check, or a bug trap
+  (ConsistencyFailure, NoStandardVertex);
+- 2 insufficient data: InsufficientTrajectory, WindowMissing,
+  DegenerateGap, SplittingUntrusted;
+- 3 precision exhausted;
+- 4 input error: ParseError, ValidationError, IoError, unknown command;
+- 5 any other library error (IetkzError).
+
+Outputs carry decimal strings for all scalars and a stable field order;
+the only nondeterministic field is the timestamp.
 """
 
 from __future__ import annotations
@@ -26,13 +36,19 @@ from . import limitshape as ls
 from .combinatorics import build_diagram, diagram_to_json, elementary_matrix, omega_matrix
 from .errors import (
     ConnectionHit,
+    ConsistencyFailure,
+    DegenerateGap,
     HorizontalDegenerate,
+    IetkzError,
     InsufficientTrajectory,
     IoError,
+    NoStandardVertex,
     ParseError,
     PrecisionExhausted,
     RequiresMultipleSingularities,
+    SplittingUntrusted,
     ValidationError,
+    WindowMissing,
 )
 from .induction import (
     DUAL_COMPLETE,
@@ -448,6 +464,25 @@ COMMAND_TABLE = {
 COMMANDS = tuple(COMMAND_TABLE)
 
 
+# (error classes, exit code, stderr label), the first match wins
+EXIT_CODES = (
+    ((ConsistencyFailure, NoStandardVertex), 1, "invariant violation"),
+    ((InsufficientTrajectory, WindowMissing, DegenerateGap, SplittingUntrusted), 2, "insufficient data"),
+    ((PrecisionExhausted,), 3, "precision exhausted"),
+    ((ParseError, ValidationError), 4, "input error"),
+    ((IoError,), 4, "io error"),
+    ((IetkzError,), 5, "library error"),
+)
+
+
+def exit_code(exc: IetkzError) -> int:
+    """Prints a library error under its label; returns its documented exit code."""
+    for kinds, code, label in EXIT_CODES:
+        if isinstance(exc, kinds):
+            print(f"{label}: {exc}", file=sys.stderr)
+            return code
+
+
 def execute(sc: Scenario, command: str, out_dir: str) -> int:
     """Runs one command and writes its reports; returns the exit code."""
     if command not in COMMAND_TABLE:
@@ -455,16 +490,12 @@ def execute(sc: Scenario, command: str, out_dir: str) -> int:
         return 4
     try:
         report, tables = COMMAND_TABLE[command](sc)
-    except (InsufficientTrajectory,) as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return 2
-    except PrecisionExhausted as exc:
-        print(f"precision exhausted: {exc}", file=sys.stderr)
-        return 3
     except (ConnectionHit, HorizontalDegenerate) as exc:
         report = {"command": command, "halt": type(exc).__name__, "detail": str(exc)}
         emit(report, out_dir, command.replace("-", "_"))
         return 0
+    except IetkzError as exc:
+        return exit_code(exc)
     path = emit(report, out_dir, command.replace("-", "_"), tables)
     print(path)
     if command == "verify" and not report.get("pass", True):
@@ -491,12 +522,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.seed is not None:
             sc.seed = args.seed
         return execute(sc, args.command, args.out_dir)
-    except (ParseError, ValidationError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 4
-    except IoError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 4
+    except IetkzError as exc:
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

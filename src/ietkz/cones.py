@@ -127,33 +127,6 @@ def _is_extremal(pi: CombinatorialData, basis: List[np.ndarray], ray: np.ndarray
     return V.shape[1] - exact_rank(V[zeros, :]) == 1
 
 
-def brute_force_cone_rays(pi: CombinatorialData) -> List[np.ndarray]:
-    """Independent cross-check: enumerate orthant-face intersections with
-    the subspace and keep the one-dimensional nonnegative ones."""
-    from itertools import combinations
-
-    basis = subspace_basis(pi)
-    V = np.stack(basis, axis=1)
-    d, m = V.shape
-    found = {}
-    for r in range(d + 1):
-        for zeros in combinations(range(d), r):
-            rank, null, _ = exact_rank_nullspace(V[list(zeros), :])
-            if m - rank != 1:
-                continue
-            y = null[0]
-            x = np.array([sum(V[i, k] * y[k] for k in range(m)) for i in range(d)], dtype=object)
-            if all(v >= 0 for v in x) or all(v <= 0 for v in x):
-                if all(v == 0 for v in x):
-                    continue
-                if all(v <= 0 for v in x):
-                    x = np.array([-v for v in x], dtype=object)
-                prim = snap_primitive(x)
-                if _is_extremal(pi, basis, prim):
-                    found[tuple(int(v) for v in prim)] = prim
-    return sorted(found.values(), key=lambda rr: tuple(int(x) for x in rr))
-
-
 def cone_contraction(B: np.ndarray, pi: CombinatorialData, pi2: CombinatorialData) -> bool:
     """True iff B maps the closed absolute cone of pi strictly inside the
     positive orthant (except the origin): every extremal ray image positive.

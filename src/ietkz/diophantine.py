@@ -387,7 +387,8 @@ def length_diagnostics(
             B = traj.matrix(0, n)
             lam = traj.state(n).lam
             d = len(lam)
-            acc = sum(B[i, j] * lam[i] for i in range(d) for j in range(d))
+            row_sums = [int(sum(B[i, :])) for i in range(d)]
+            acc = sum(r * x for r, x in zip(row_sums, lam))
             if certified_sign(acc - total0) != 0:
                 partition_ok = False
             norm = int(sum_norm(B))
@@ -395,8 +396,7 @@ def length_diagnostics(
             logn = exact_log(norm)
             # implied constants of the two-sided length bound and row-sum bound
             c_upper = max(lens) / to_float(total0) * math.exp((1 - tau_tol) * logn)
-            min_row = min(int(sum(B[i, :])) for i in range(d))
-            c_p3 = math.exp((1 - tau_tol) * logn) / min_row
+            c_p3 = math.exp((1 - tau_tol) * logn) / min(row_sums)
             rows.append(
                 {
                     "n": n,

@@ -26,7 +26,7 @@ from .errors import (
     SplittingUntrusted,
     WindowMissing,
 )
-from .induction import Trajectory, visit_words
+from .induction import Trajectory, spell, visit_words, word_codes
 from .limitshape import (
     SNAP_DENOMINATOR,
     LimitShapeGraph,
@@ -49,9 +49,10 @@ def substitution_words(traj: Trajectory, n: int, direction: str) -> Dict[str, Li
 
     DualForward (n >= 0): the left-to-right strip decomposition of
     I_alpha^(0) into translates of the I_beta^(n); one step expands the
-    winner into (winner, loser) for both arrow types, and the count of
-    beta equals B(0,n)[beta, alpha] (the transpose convention is forced by
-    the basis transport and verified against the oracle).
+    winner into (winner, loser) for both arrow types (the dual rule of
+    ``word_codes``), and the count of beta equals B(0,n)[beta, alpha] (the
+    transpose convention is forced by the basis transport and verified
+    against the oracle).
     """
     if direction == BACKWARD:
         if n > 0:
@@ -63,17 +64,7 @@ def substitution_words(traj: Trajectory, n: int, direction: str) -> Dict[str, Li
         raise ValueError("dual forward words need n >= 0")
     if n > traj.n_max:
         raise WindowMissing(f"window misses [0,{n}]")
-    letters = traj.state(0).pi.letters
-    words = {a: [a] for a in letters}
-    for k in range(1, n + 1):
-        a = traj.arrow_at(k)
-        repl = [a.winner, a.loser]
-        for alpha in letters:
-            out: List[str] = []
-            for b in words[alpha]:
-                out.extend(repl if b == a.winner else [b])
-            words[alpha] = out
-    return words
+    return spell(traj.state(0).pi.letters, word_codes(traj, 0, n, dual=True))
 
 
 @dataclass

@@ -451,28 +451,48 @@ def accelerated_times(traj: Trajectory, kind: str, start: int = 0) -> List[int]:
     return times
 
 
+def word_codes(traj: Trajectory, m: int, n: int, dual: bool = False) -> List[np.ndarray]:
+    """The words of the substitution composed over the window [m, n], one
+    int8 array of letter codes (canonical letter indices) per letter.
+
+    Composed from the inside, every level rewrites one word, as
+    ``cocycle_step`` rewrites one row.  Visit rule, k = m+1..n: W[loser]
+    becomes W[loser] W[winner] for a top arrow and W[winner] W[loser] for a
+    bottom one; the count of beta in W[alpha] is B(m, n)[alpha, beta].
+    Dual rule, k = n..m+1: W[winner] becomes W[winner] W[loser]; the count
+    of beta in W[alpha] is B(m, n)[beta, alpha].
+    """
+    if not (traj.n_min <= m <= n <= traj.n_max):
+        raise InsufficientTrajectory(f"window misses [{m},{n}]")
+    words = [np.array([i], dtype=np.int8) for i in range(traj.state(n).d)]  # d < 128 letters
+    for k in range(n, m, -1) if dual else range(m + 1, n + 1):
+        a = traj.arrow_at(k)
+        li, wi = a.source.index(a.loser), a.source.index(a.winner)
+        if dual:
+            words[wi] = np.concatenate((words[wi], words[li]))
+        elif a.kind == TOP:
+            words[li] = np.concatenate((words[li], words[wi]))
+        else:
+            words[li] = np.concatenate((words[wi], words[li]))
+    return words
+
+
+def spell(letters: Sequence[str], codes: Sequence[np.ndarray]) -> Dict[str, List[str]]:
+    """Letter-code words as lists of letter names, keyed by letter."""
+    names = np.array(letters)
+    return {a: names[w].tolist() for a, w in zip(letters, codes)}
+
+
 def visit_words(traj: Trajectory, n_prime: int, n: int) -> Dict[str, List[str]]:
     """Orbit itineraries as substitution words, one per letter.
 
     ``words[alpha]`` lists, in temporal order, the level-n' letters visited
     by the orbit of any point of I_alpha^(n) under T^(n') up to its first
     return to I^(n); the count of beta in it equals B(n', n)[alpha, beta].
-    Built by iterating the one-step substitution (loser -> loser winner for
-    a top arrow, loser -> winner loser for a bottom arrow) down the window.
+    These are the visit-rule words of ``word_codes``.
     """
-    if not (traj.n_min <= n_prime <= n <= traj.n_max):
-        raise InsufficientTrajectory(f"window misses [{n_prime},{n}]")
-    letters = traj.state(n).pi.letters
-    words = {a: [a] for a in letters}
-    for k in range(n, n_prime, -1):
-        a = traj.arrow_at(k)
-        repl = [a.loser, a.winner] if a.kind == TOP else [a.winner, a.loser]
-        for alpha in letters:
-            out: List[str] = []
-            for b in words[alpha]:
-                out.extend(repl if b == a.loser else [b])
-            words[alpha] = out
-    return words
+    codes = word_codes(traj, n_prime, n)
+    return spell(traj.state(n).pi.letters, codes)
 
 
 # ---------------------------------------------------------------------------

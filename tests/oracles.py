@@ -6,13 +6,23 @@ tests require the fast path to return exactly what the reference returns.
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ietkz.combinatorics import TOP
-from ietkz.errors import NoReturn, PrecisionExhausted
-from ietkz.numerics import Ball, certified_sign, scalar_abs, sqrt_enclosure, to_float
+from ietkz.combinatorics import TOP, CombinatorialData
+from ietkz.cones import _is_extremal, subspace_basis
+from ietkz.errors import InsufficientTrajectory, NoReturn, PrecisionExhausted
+from ietkz.numerics import (
+    Ball,
+    certified_sign,
+    exact_rank_nullspace,
+    scalar_abs,
+    snap_primitive,
+    sqrt_enclosure,
+    to_float,
+)
 from ietkz.oracle import IEMap
 from ietkz.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED
 
@@ -45,6 +55,42 @@ def restricted_operator_norm_reference(M: np.ndarray, w: Sequence):
         if best is None or certified_sign(norm - best) > 0:
             best = norm
     return best
+
+
+def visit_words_reference(traj, n_prime: int, n: int) -> Dict[str, List[str]]:
+    """Visit words grown by substituting every letter of every word, one
+    arrow at a time from level n down to n' + 1 (loser -> loser winner for
+    a top arrow, loser -> winner loser for a bottom arrow)."""
+    if not (traj.n_min <= n_prime <= n <= traj.n_max):
+        raise InsufficientTrajectory(f"window misses [{n_prime},{n}]")
+    letters = traj.state(n).pi.letters
+    words = {a: [a] for a in letters}
+    for k in range(n, n_prime, -1):
+        a = traj.arrow_at(k)
+        repl = [a.loser, a.winner] if a.kind == TOP else [a.winner, a.loser]
+        for alpha in letters:
+            out: List[str] = []
+            for b in words[alpha]:
+                out.extend(repl if b == a.loser else [b])
+            words[alpha] = out
+    return words
+
+
+def dual_words_reference(traj, m: int, n: int) -> Dict[str, List[str]]:
+    """Dual-forward words of the window [m, n] grown by substituting every
+    letter of every word, one arrow at a time from level m + 1 up to n
+    (winner -> winner loser for both arrow types)."""
+    letters = traj.state(m).pi.letters
+    words = {a: [a] for a in letters}
+    for k in range(m + 1, n + 1):
+        a = traj.arrow_at(k)
+        repl = [a.winner, a.loser]
+        for alpha in letters:
+            out: List[str] = []
+            for b in words[alpha]:
+                out.extend(repl if b == a.winner else [b])
+            words[alpha] = out
+    return words
 
 
 def dual_holder_profile_reference(traj, levels, psi, alpha_star: str, grid: int = 6) -> List[dict]:
@@ -345,3 +391,28 @@ def min_sup_norm_solution_reference(A: Sequence[Sequence], b: Sequence) -> Optio
         row_j[1 + n + j] = Fraction(-1)
         fixed.append((row_j, vj))
     return values
+
+
+def brute_force_cone_rays(pi: CombinatorialData) -> List[np.ndarray]:
+    """Independent cross-check: enumerate orthant-face intersections with
+    the subspace and keep the one-dimensional nonnegative ones."""
+    basis = subspace_basis(pi)
+    V = np.stack(basis, axis=1)
+    d, m = V.shape
+    found = {}
+    for r in range(d + 1):
+        for zeros in combinations(range(d), r):
+            rank, null, _ = exact_rank_nullspace(V[list(zeros), :])
+            if m - rank != 1:
+                continue
+            y = null[0]
+            x = np.array([sum(V[i, k] * y[k] for k in range(m)) for i in range(d)], dtype=object)
+            if all(v >= 0 for v in x) or all(v <= 0 for v in x):
+                if all(v == 0 for v in x):
+                    continue
+                if all(v <= 0 for v in x):
+                    x = np.array([-v for v in x], dtype=object)
+                prim = snap_primitive(x)
+                if _is_extremal(pi, basis, prim):
+                    found[tuple(int(v) for v in prim)] = prim
+    return sorted(found.values(), key=lambda rr: tuple(int(x) for x in rr))

@@ -4,9 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from ietkz import cli
 from ietkz.cli import main
 from ietkz.combinatorics import CombinatorialData
-from ietkz.errors import ParseError, ValidationError
+from ietkz.errors import (
+    ConsistencyFailure,
+    DegenerateGap,
+    IetkzError,
+    NotMeanZero,
+    ParseError,
+    SplittingUntrusted,
+    ValidationError,
+    WindowMissing,
+)
 from ietkz.induction import canonical_tau
 from ietkz.numerics import Quadratic, scalar_to_json
 from ietkz.scenario import golden_scenario_dict, parse_scenario, scenario_from_dict
@@ -70,6 +80,48 @@ def test_cli_roth_insufficient_depth_exit_two(tmp_path):
     path = write_scenario(tmp_path, golden_scenario_dict(depth=1))
     out = str(tmp_path / "out")
     assert main(["--scenario", path, "--command", "roth", "--out-dir", out]) == 2
+
+
+def test_cli_untrusted_splitting_exits_two(tmp_path, capsys):
+    # ABC/CBA with tau = canonical tau + (37/9973) sqrt 5 in every coordinate:
+    # at depth 1 the homology section finds the splitting untrustworthy
+    q = lambda a: scalar_to_json(Quadratic(Fraction(a), Fraction(37, 9973), 5))
+    data = {
+        "alphabet": ["A", "B", "C"],
+        "top": ["A", "B", "C"],
+        "bottom": ["C", "B", "A"],
+        "backend": "quadratic",
+        "lambda": ["123457/7", "654321/11", "17094/1"],
+        "tau": [q(2), q(0), q(-2)],
+        "depth": 30,
+        "backward_depth": 300,
+        "seed": 1,
+    }
+    path = write_scenario(tmp_path, data)
+    out = str(tmp_path / "out")
+    assert main(["--scenario", path, "--command", "homology", "--depth", "1", "--out-dir", out]) == 2
+    assert capsys.readouterr().err.strip() == "insufficient data: splitting too degenerate for a trustworthy section"
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (ConsistencyFailure("two sides disagree"), 1),
+        (WindowMissing("window misses [0,9]"), 2),
+        (DegenerateGap("zero gap"), 2),
+        (SplittingUntrusted("untrusted"), 2),
+        (NotMeanZero("mean 1/2"), 5),
+        (IetkzError("other"), 5),
+    ],
+)
+def test_cli_maps_every_library_error_to_an_exit_code(tmp_path, monkeypatch, capsys, exc, code):
+    def failing(sc):
+        raise exc
+
+    monkeypatch.setitem(cli.COMMAND_TABLE, "verify", failing)
+    path = write_scenario(tmp_path, minimal_rotation())
+    assert main(["--scenario", path, "--command", "verify", "--out-dir", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err.strip().endswith(f": {exc}")
 
 
 def test_cli_input_error_exit_four(tmp_path):

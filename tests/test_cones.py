@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import brute_force_cone_rays
 
 from ietkz.combinatorics import (
     BOTTOM,
@@ -16,7 +17,6 @@ from ietkz.combinatorics import (
 )
 from ietkz.cones import (
     absolute_cone_rays,
-    brute_force_cone_rays,
     cone_contraction,
     standard_witness,
     subspace_basis,

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import (
     dual_holder_profile_reference,
+    dual_words_reference,
     echelon_reference,
     exact_det_reference,
     itinerary_reference,
@@ -18,6 +19,7 @@ from oracles import (
     restricted_operator_norm_reference,
     solve_lp_reference,
     visit_counts_reference,
+    visit_words_reference,
     zorich_stop_rescan,
 )
 
@@ -41,6 +43,7 @@ from ietkz.errors import (
     NoReturn,
     NotSuspensionVector,
     PrecisionExhausted,
+    WindowMissing,
 )
 from ietkz.induction import (
     DUAL_COMPLETE,
@@ -55,6 +58,8 @@ from ietkz.induction import (
     make_state,
     run,
     run_window,
+    visit_words,
+    word_codes,
 )
 from ietkz.limitshape import FourierTestFunction
 from ietkz.numerics import (
@@ -360,6 +365,77 @@ def test_exact_log_of_cancelling_quadratic_unchanged():
     mid = enc.mid
     assert bits > 64
     assert exact_log(x) == math.log(mid.numerator) - math.log(mid.denominator)
+
+
+# ---------------------------------------------------------------------------
+# one substitution-word engine against the list loops it replaced
+
+
+def _engine_trajectories():
+    rng = random.Random("word-engine")
+    pi = CombinatorialData.from_rows(list("ABCD"), list("DACB"))
+    forward = run(make_state(pi, sample_rational_lengths(pi, rng)), "forward", Steps(40))
+    st = make_state(REV4, sample_rational_lengths(REV4, rng), sample_rational_suspension(REV4, rng))
+    return [forward, abc_backward(40), run_window(st, back=20, fwd=20)]
+
+
+def _spelled(letters, codes):
+    return {a: [letters[i] for i in w] for a, w in zip(letters, codes)}
+
+
+def test_word_engine_equals_list_words_on_every_window():
+    for traj in _engine_trajectories():
+        for n in traj.levels():
+            for m in range(traj.n_min, n + 1):
+                B = traj.matrix(m, n)
+                d = B.shape[0]
+                letters = traj.state(m).pi.letters
+                visit = word_codes(traj, m, n)
+                dual = word_codes(traj, m, n, dual=True)
+                assert _spelled(letters, visit) == visit_words_reference(traj, m, n), (m, n)
+                assert _spelled(letters, dual) == dual_words_reference(traj, m, n), (m, n)
+                for i in range(d):
+                    assert visit[i].dtype == dual[i].dtype == np.int8
+                    assert np.bincount(visit[i], minlength=d).tolist() == B[i, :].tolist(), (m, n, i)
+                    assert np.bincount(dual[i], minlength=d).tolist() == B[:, i].tolist(), (m, n, i)
+                words = visit_words(traj, m, n)
+                assert words == visit_words_reference(traj, m, n)
+                assert all(type(b) is str for w in words.values() for b in w)
+
+
+def test_substitution_words_equal_list_words():
+    for traj in _engine_trajectories():
+        for n in traj.levels():
+            if n <= 0:
+                got = homology.substitution_words(traj, n, homology.BACKWARD)
+                assert got == visit_words_reference(traj, n, 0), n
+            if n >= 0:
+                got = homology.substitution_words(traj, n, homology.DUAL_FORWARD)
+                assert got == dual_words_reference(traj, 0, n), n
+            assert all(type(b) is str for w in got.values() for b in w)
+
+
+def test_word_windows_raise_as_before():
+    fwd, back, window = _engine_trajectories()
+    for traj in (fwd, back, window):
+        for m, n in ((traj.n_min - 1, 0), (0, traj.n_max + 1), (1, 0), (traj.n_max, traj.n_min)):
+            for fn in (word_codes, visit_words, visit_words_reference):
+                with pytest.raises(InsufficientTrajectory):
+                    fn(traj, m, n)
+    with pytest.raises(ValueError):
+        homology.substitution_words(back, 1, homology.BACKWARD)
+    with pytest.raises(ValueError):
+        homology.substitution_words(fwd, -1, homology.DUAL_FORWARD)
+    with pytest.raises(ValueError):
+        homology.substitution_words(fwd, 0, "Sideways")
+    with pytest.raises(WindowMissing):
+        homology.substitution_words(back, 1, homology.DUAL_FORWARD)
+    with pytest.raises(InsufficientTrajectory):
+        homology.substitution_words(fwd, -1, homology.BACKWARD)
+    psi = FourierTestFunction.random(1.0, 0.5, 3, random.Random(1))
+    for level in (back.n_min - 1, 1):
+        with pytest.raises(InsufficientTrajectory):
+            dual_holder_profile(back, [level], psi, "A")
 
 
 # ---------------------------------------------------------------------------
